@@ -79,7 +79,6 @@ struct Measured {
   std::vector<Point> points;
   SearchTally tally;  ///< traced phases only
   PhaseClock clock;
-  QuietStats quiet;
 };
 
 /// One timed sweep pass: every point once, in an order rotated by
@@ -117,9 +116,8 @@ Pass RunPass(const cagra::CagraIndex& index, const cagra::Matrix<float>& queries
   return out;
 }
 
-/// One measured phase: sweep passes, each a measurement window retried
-/// when the host disturbed it, until the kept passes add up to
-/// `seconds` (and at least two ran).
+/// One measured phase: sweep passes until they add up to `seconds` (and
+/// at least two ran).
 Measured MeasurePasses(const cagra::CagraIndex& index,
                        const cagra::Matrix<float>& queries,
                        const std::vector<std::vector<uint32_t>>& reference,
@@ -127,12 +125,10 @@ Measured MeasurePasses(const cagra::CagraIndex& index,
                        Tracer& tracer, Report* report) {
   Measured m;
   m.points = points;
-  double kept_seconds = 0;
-  for (size_t pass = 0; pass < 2 || kept_seconds < seconds; pass++) {
-    const Pass p = QuietWindow(&m.quiet, [&] {
-      return RunPass(index, queries, reference, points, pass, tracer, report);
-    });
-    kept_seconds += p.seconds;
+  double searched_seconds = 0;
+  for (size_t pass = 0; pass < 2 || searched_seconds < seconds; pass++) {
+    const Pass p = RunPass(index, queries, reference, points, pass, tracer, report);
+    searched_seconds += p.seconds;
     for (size_t i = 0; i < m.points.size(); i++) {
       m.points[i].qps.push_back(p.qps[i]);
       m.points[i].call_ms.push_back(p.call_ms[i]);
@@ -181,7 +177,6 @@ void RunBatch(const Args& args, Report* report) {
   Tracer off(false);
   const Measured untraced = MeasurePasses(index, data.queries, reference, points,
                                           args.seconds, off, report);
-  untraced.quiet.Detail("measure", report);
   const std::vector<Point>& measured = untraced.points;
 
   std::string sweep = "[";
@@ -224,7 +219,6 @@ void RunBatch(const Args& args, Report* report) {
   Tracer tracer(true);
   const Measured traced = MeasurePasses(index, data.queries, reference, points,
                                         args.seconds, tracer, report);
-  traced.quiet.Detail("traced", report);
 
   ZeroLayerMetrics(report);
   BuildLayerMetrics({build_stats}, report);

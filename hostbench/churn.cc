@@ -34,7 +34,7 @@ constexpr size_t kWriteRows = 60;
 /// Set-ups per run; setup_s is their median.
 constexpr size_t kSetups = 3;
 /// Measurement window length (about 200 reader batches, so a window's
-/// p95 has 10 beyond it); each window is retried when disturbed.
+/// p95 has 10 beyond it).
 constexpr double kWindowSeconds = 3;
 constexpr double kRecallFloor = 0.9;
 
@@ -72,7 +72,6 @@ struct Phase {
   double reader_wall_s = 0;
   SearchTally tally;  ///< traced phases only
   PhaseClock clock;
-  QuietStats quiet;
   /// Per-window reader statistics; the end-to-end metrics are their
   /// medians, so one disturbed window cannot move them.
   std::vector<double> window_p50, window_p95, window_qps;
@@ -219,8 +218,7 @@ void CountOps(const Phase& ph, Report* report) {
                     " result ids were removed before their search started");
 }
 
-/// One measured phase: `seconds` of churn as measurement windows, each
-/// retried when the host disturbed it; every window's checks count.
+/// One measured phase: `seconds` of churn as measurement windows.
 Phase MeasureChurn(cagra::ShardedCagraIndex& index, const Inputs& data,
                    double seconds, Tracer& tracer, size_t* next_extra,
                    std::deque<uint32_t>* live,
@@ -230,12 +228,9 @@ Phase MeasureChurn(cagra::ShardedCagraIndex& index, const Inputs& data,
   Phase total;
   const size_t windows = WindowCount(seconds, kWindowSeconds);
   for (size_t w = 0; w < windows; w++) {
-    const Phase win = QuietWindow(&total.quiet, [&] {
-      Phase ph = RunWindow(index, data, seconds / static_cast<double>(windows),
-                           tracer, next_extra, live, removed_at);
-      CountOps(ph, report);
-      return ph;
-    });
+    const Phase win = RunWindow(index, data, seconds / static_cast<double>(windows),
+                                tracer, next_extra, live, removed_at);
+    CountOps(win, report);
     total.window_p50.push_back(Quantile(win.search_ms, 0.5));
     total.window_p95.push_back(Quantile(win.search_ms, 0.95));
     total.window_qps.push_back(static_cast<double>(win.rows_searched) /
@@ -249,11 +244,11 @@ Phase MeasureChurn(cagra::ShardedCagraIndex& index, const Inputs& data,
 }  // namespace
 
 void RunChurn(const Args& args, Report* report) {
-  // The writer consumes kWriteRate * kWriteRows rows a second of every
-  // window attempt, in one measured phase (two when traced).
-  const size_t attempts = (args.trace ? 2 : 1) * kQuietAttempts;
+  // The writer consumes kWriteRate * kWriteRows rows a second, in one
+  // measured phase (two when traced).
+  const size_t phases = args.trace ? 2 : 1;
   const size_t extra =
-      attempts * static_cast<size_t>(args.seconds * kWriteRate + 1) * kWriteRows;
+      phases * static_cast<size_t>(args.seconds * kWriteRate + 1) * kWriteRows;
   const Inputs data = MakeInputs(kRows, kQueryPool, extra, args.seed);
 
   // Set-up, several times: setup_s is the median; the last index serves.
@@ -279,7 +274,6 @@ void RunChurn(const Args& args, Report* report) {
   Tracer off(false);
   const Phase untraced = MeasureChurn(index, data, args.seconds, off,
                                      &next_extra, &live, &removed_at, report);
-  untraced.quiet.Detail("measure", report);
   const double search_qps = Median(untraced.window_qps);
   report->Detail("compactions_observed", static_cast<double>(untraced.compactions));
   report->Detail("dead_frac_max", untraced.dead_frac_max);
@@ -292,7 +286,6 @@ void RunChurn(const Args& args, Report* report) {
   if (args.trace) {
     const Phase traced = MeasureChurn(index, data, args.seconds, tracer,
                                       &next_extra, &live, &removed_at, report);
-    traced.quiet.Detail("traced", report);
     ZeroLayerMetrics(report);
     BuildLayerMetrics(build_stats.per_shard, report);
     SearchLayerMetrics(traced.tally, report);

@@ -1,10 +1,12 @@
 #include "common.h"
 
+#include <malloc.h>
 #include <sys/stat.h>
 
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <random>
 
@@ -206,7 +208,7 @@ void SearchLayerMetrics(const SearchTally& t, Report* report) {
 
 void EndToEndMetrics(const EndToEnd& e2e, Report* report) {
   report->Metric("setup_s", e2e.setup_s, "s");
-  report->Metric("peak_rss_mb", Usage::Now().max_rss_mb, "MB");
+  report->Metric("peak_rss_mb", PeakRssMb(), "MB");
   report->Metric("recall_at_10", e2e.recall_at_10, "ratio");
   report->Metric("search_qps", e2e.search_qps, "1/s");
   report->Metric("search_p50_ms", e2e.search_p50_ms, "ms");
@@ -226,37 +228,30 @@ void ProcessMetrics(const PhaseClock& clock, Report* report) {
   report->Metric("process.wall_s", clock.wall_s, "s");
 }
 
-HostCpu HostCpu::Now() {
-  HostCpu h;
-  std::ifstream f("/proc/stat");
-  std::string cpu;
-  f >> cpu;
-  // user nice system idle iowait irq softirq steal [guest guest_nice]:
-  // guest time is already counted in user, so the first eight sum up.
-  for (int i = 0; i < 8 && f; i++) {
-    uint64_t v = 0;
-    f >> v;
-    h.total += v;
-    if (i == 7) h.steal = v;
+double PeakRssMb() {
+  std::ifstream f("/proc/self/status");
+  std::string key;
+  while (f >> key) {
+    if (key == "VmHWM:") {
+      double kb = 0;
+      if (f >> kb) return kb / 1024.0;
+      break;
+    }
+    f.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
   }
-  if (!f || cpu != "cpu") h = HostCpu{};
-  return h;
+  return Usage::Now().max_rss_mb;
 }
 
-void QuietStats::Detail(const std::string& label, Report* report) const {
-  report->Detail(label + ".windows", static_cast<double>(windows));
-  report->Detail(label + ".retried_windows", static_cast<double>(retries));
-  report->Detail(label + ".kept_steal_max", kept_steal_max);
+bool ResetPeakRss() {
+  ::malloc_trim(0);
+  std::ofstream f("/proc/self/clear_refs");
+  f << "5";
+  f.flush();
+  return static_cast<bool>(f);
 }
 
 size_t WindowCount(double seconds, double window_seconds) {
   return std::max<size_t>(1, static_cast<size_t>(seconds / window_seconds + 0.5));
-}
-
-double HostCpu::StealSince(const HostCpu& since) const {
-  if (total <= since.total) return -1;
-  return static_cast<double>(steal - since.steal) /
-         static_cast<double>(total - since.total);
 }
 
 void TraceOverhead(double untraced, double traced, Report* report) {

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,11 +78,12 @@ void BuildLayerMetrics(const std::vector<cagra::BuildStats>& builds,
 void SearchLayerMetrics(const SearchTally& tally, Report* report);
 
 /// The end-to-end metrics, the same five for every workload
-/// (BENCHMARK.json end_to_end): setup_s, peak_rss_mb, recall_at_10,
-/// search_qps and search_p50_ms. Each workload documents what its
-/// search_qps and search latency measure. Latency tails go to the
-/// details line (WorkloadMetric): on a shared host a few percent of CPU
-/// steal moves them by more than any bound a benchmark may set.
+/// (BENCHMARK.json end_to_end): setup_s, peak_rss_mb (PeakRssMb() when
+/// the run ends), recall_at_10, search_qps and search_p50_ms. Each
+/// workload documents what its search_qps and search latency measure.
+/// Latency tails go to the details line (WorkloadMetric): on a shared
+/// host a few percent of CPU steal moves them by more than any bound a
+/// benchmark may set.
 struct EndToEnd {
   double setup_s = 0;
   double recall_at_10 = 0;
@@ -115,59 +115,15 @@ struct PhaseClock {
 /// process.cpu_s and process.wall_s over a measured phase.
 void ProcessMetrics(const PhaseClock& clock, Report* report);
 
-/// Share of the machine's CPU time the host gave to other tenants
-/// (the steal column of /proc/stat) since `since`, or -1 when the
-/// counters are unavailable.
-struct HostCpu {
-  uint64_t steal = 0;
-  uint64_t total = 0;
-  static HostCpu Now();
-  double StealSince(const HostCpu& since) const;
-};
+/// Peak resident set of the process in MB: VmHWM of /proc/self/status,
+/// which ResetPeakRss() restarts; the getrusage peak when /proc is
+/// unavailable.
+double PeakRssMb();
 
-/// A measurement window during which other tenants of the host stole
-/// more than this share of the CPU is disturbed: the latency workloads
-/// amplify a second of 10% steal into a several-fold tail.
-constexpr double kMaxSteal = 0.05;
-constexpr int kQuietAttempts = 2;
-/// Retries per measured phase, so a host that stays busy costs a run at
-/// most this many extra windows.
-constexpr size_t kMaxRetries = 3;
-
-/// Windows run and retried, and the steal of the windows kept.
-struct QuietStats {
-  size_t windows = 0;
-  size_t retries = 0;
-  double kept_steal_max = 0;
-  void Detail(const std::string& label, Report* report) const;
-};
-
-/// Runs one measurement window until an attempt sees at most kMaxSteal
-/// CPU steal, at most kQuietAttempts times (and kMaxRetries retries per
-/// phase), and returns the least disturbed attempt. Every attempt's
-/// correctness checks still count.
-template <typename Fn>
-auto QuietWindow(QuietStats* stats, Fn&& window) {
-  std::optional<decltype(window())> best;
-  double best_steal = 0;
-  for (int attempt = 0; attempt < kQuietAttempts; attempt++) {
-    if (attempt > 0) {
-      if (stats->retries == kMaxRetries) break;
-      stats->retries++;
-    }
-    const HostCpu h0 = HostCpu::Now();
-    auto result = window();
-    const double steal = HostCpu::Now().StealSince(h0);
-    if (!best || steal < best_steal) {
-      best.emplace(std::move(result));
-      best_steal = steal;
-    }
-    if (steal <= kMaxSteal) break;
-  }
-  stats->windows++;
-  stats->kept_steal_max = std::max(stats->kept_steal_max, best_steal);
-  return std::move(*best);
-}
+/// Returns freed heap to the system, then restarts the peak at the
+/// current resident set (/proc/self/clear_refs 5), so PeakRssMb()
+/// covers only what runs from here on. False when unsupported.
+bool ResetPeakRss();
 
 /// Splits `seconds` into windows of about `window_seconds` (at least one).
 size_t WindowCount(double seconds, double window_seconds);

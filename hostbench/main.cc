@@ -19,17 +19,16 @@
 //          of one 10k-query batch call at itopk 32 (where recall is).
 //   serve  capacity (requests/s completed in back-to-back bursts);
 //          per-request latency from the scheduled send at the 50 QPS
-//          Poisson reference rung.
+//          Poisson reference rung; peak RSS from LoadOutOfCore on.
 //   churn  reader query rows per second under the writer; latency of one
 //          64-query reader batch; recall after the final Compact.
 // Latency tails (p95, p99) and the workload-specific headlines
 // (qps_at_r95/r99, max_qps_under_slo and the 200 QPS rung,
 // write_p50/p99_ms) go to the details line.
 //
-// Measured phases run as windows of a few seconds. A window during
-// which the host stole more than 5% of the CPU (/proc/stat) is run once
-// more and the less disturbed attempt kept; latency and throughput are
-// medians over windows.
+// Measured phases run as windows of a second or a few; latency and
+// throughput are order statistics over windows, so one window the host
+// disturbed does not move them.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

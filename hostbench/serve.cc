@@ -3,11 +3,12 @@
 // window) over an out-of-core index: built, EnablePq, saved, then
 // LoadOutOfCore. Traversal is PQ through per-query ADC tables and the
 // top-64 rerank reads fp32 rows from the mmap. Offered rates climb a
-// fixed doubling ladder; above the 50 QPS reference rung the run stops
-// at the first rung that misses the latency objective, then bursts
-// measure capacity. This is the only workload where the batch-1
-// multi-CTA plan, queueing and micro-batching, the PQ ADC and the mmap
-// rerank do most of the work; it runs no writes and no sharding.
+// fixed doubling ladder above the 50 QPS reference rung and stop at the
+// first rung that misses the latency objective, then bursts measure
+// capacity; the reference rung's windows are spread between these
+// steps. This is the only workload where the batch-1 multi-CTA plan,
+// queueing and micro-batching, the PQ ADC and the mmap rerank do most
+// of the work; it runs no writes and no sharding.
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -34,16 +35,24 @@ namespace {
 
 constexpr size_t kRows = 50000;
 constexpr size_t kQueryPool = 2000;
-const std::vector<double> kRates = {50, 100, 200, 400, 800, 1600, 3200};
-/// The reference rung is light load: about a tenth of the ~450 QPS
+/// The reference rung is light load: about a tenth of the ~500 QPS
 /// Poisson capacity measured on a shared 4-vCPU x86 VM. Nearer the knee
 /// (the 200 QPS rung) a few percent of host CPU steal there doubled the
 /// latency.
 constexpr double kReferenceRate = 50;
-/// Share of --seconds each rung runs for: most of it goes to the
-/// reference rung (3 windows of 120 requests at 12 s); the ladder
-/// totals ~1x --seconds when every rung runs.
-const std::vector<double> kRungShare = {0.6, 0.1, 0.1, 0.1, 0.05, 0.025, 0.0125};
+/// The reference rung gets this share of --seconds, as kReferenceWindows
+/// windows spread over the whole ladder: one before each rung above it
+/// and each burst, the rest at the end (45 requests a window at 12 s).
+constexpr double kReferenceShare = 0.6;
+constexpr size_t kReferenceWindows = 8;
+/// The rungs above the reference, each one window of the given share of
+/// --seconds; the ladder totals ~1x --seconds when every rung runs.
+struct RungSpec {
+  double rate;
+  double share;
+};
+constexpr RungSpec kLadder[] = {{100, 0.1}, {200, 0.1},   {400, 0.1},
+                                {800, 0.05}, {1600, 0.025}, {3200, 0.0125}};
 /// Capacity bursts: each submits kBurstRequests back to back (half the
 /// admission queue, so nothing is shed).
 constexpr size_t kBursts = 3;
@@ -53,8 +62,6 @@ constexpr double kWarmUpShare = 0.1;
 /// Latency objective on a rung's p95 (the median over its windows),
 /// timed from each request's scheduled send.
 constexpr double kSloMs = 50;
-/// Measurement window length; each window is retried when disturbed.
-constexpr double kWindowSeconds = 2.1;
 /// Client timeout: each request carries deadline = scheduled + this.
 constexpr double kClientDeadlineMs = 1000;
 constexpr double kRecallFloor = 0.95;
@@ -261,34 +268,27 @@ struct Rung {
   double rate = 0;
   Samples s;
   /// p50 and p95 are medians over the rung's windows of each window's
-  /// percentile, so one disturbed window cannot move them; p99 pools
-  /// every request of the rung.
+  /// percentile, so a window the host disturbed cannot move them (the
+  /// rungs above the reference run a single window); p99 pools every
+  /// request of the rung.
+  std::vector<double> window_p50_ms;
   double p50_ms = 0, p95_ms = 0, p99_ms = 0;
   bool pass = false;
   double recall = 0;
   double batch_rows_mean = 0;
 };
 
-/// One rung: `seconds` of traffic at `rate`, as measurement windows
-/// each retried when the host disturbed it.
-Rung RunRung(cagra::ServingScheduler& sched, TracingSearcher& searcher,
-             Tracer& tracer, const Inputs& data,
-             const cagra::Matrix<uint32_t>& gt, double rate, double seconds,
-             uint64_t seed, QuietStats* quiet) {
+/// Summarises a rung from its measurement windows.
+Rung MakeRung(double rate, const std::vector<Samples>& windows) {
   Rung rung;
   rung.rate = rate;
-  const size_t windows = WindowCount(seconds, kWindowSeconds);
-  std::vector<double> p50, p95;
-  for (size_t w = 0; w < windows; w++) {
-    const Samples win = QuietWindow(quiet, [&] {
-      return RunWindow(sched, searcher, tracer, data, gt, rate,
-                       seconds / static_cast<double>(windows), seed * 64 + w);
-    });
-    p50.push_back(Quantile(win.latency_ms, 0.5));
-    p95.push_back(Quantile(win.latency_ms, 0.95));
-    rung.s.Append(win);
+  std::vector<double> p95;
+  for (const Samples& w : windows) {
+    rung.window_p50_ms.push_back(Quantile(w.latency_ms, 0.5));
+    p95.push_back(Quantile(w.latency_ms, 0.95));
+    rung.s.Append(w);
   }
-  rung.p50_ms = Median(p50);
+  rung.p50_ms = Median(rung.window_p50_ms);
   rung.p95_ms = Median(p95);
   rung.p99_ms = Quantile(rung.s.latency_ms, 0.99);
   rung.pass = rung.p95_ms <= kSloMs && rung.s.drain_ms <= kSloMs;
@@ -318,9 +318,7 @@ struct Ladder {
   double max_qps = 0;
   std::string status;
   std::vector<double> burst_qps;  ///< completed requests/s per burst
-  size_t burst_requests = 0, burst_failed = 0;
   PhaseClock clock;
-  QuietStats quiet;
   const Rung* at(double rate) const {
     for (const Rung& r : rungs) {
       if (r.rate == rate) return &r;
@@ -355,31 +353,46 @@ Burst RunBurst(cagra::ServingScheduler& sched, const Inputs& data,
   return b;
 }
 
-/// Climbs the rate ladder — always through the reference rung, then
-/// until a rung misses the objective — and interpolates the p95-vs-rate
-/// line between the first failing rung and the rung below it to where
-/// it crosses the objective; then measures capacity in bursts.
+/// Climbs the rate ladder above the reference rung until a rung misses
+/// the objective, then measures capacity in bursts; a reference window
+/// runs before each of these steps and the remaining ones at the end.
+/// Interpolates the p95-vs-rate line between the first failing rung and
+/// the rung below it to where it crosses the objective. Every request
+/// is an operation: shed, expired and partial requests are measured
+/// overload outcomes (SLO misses), any other error is a program failure.
 Ladder RunLadder(cagra::ServingScheduler& sched, TracingSearcher& searcher,
                  Tracer& tracer, const Inputs& data,
                  const cagra::Matrix<uint32_t>& gt, double seconds,
-                 uint64_t seed) {
+                 uint64_t seed, Report* report) {
   tracer.Clear();
   Ladder ladder;
-  for (size_t i = 0; i < kRates.size(); i++) {
-    ladder.rungs.push_back(RunRung(sched, searcher, tracer, data, gt, kRates[i],
-                                   seconds * kRungShare[i], seed * 1000 + i,
-                                   &ladder.quiet));
-    if (!ladder.rungs.back().pass && kRates[i] >= kReferenceRate) break;
+  std::vector<Samples> reference;
+  auto reference_window = [&] {
+    if (reference.size() == kReferenceWindows) return;
+    reference.push_back(RunWindow(sched, searcher, tracer, data, gt, kReferenceRate,
+                                  seconds * kReferenceShare / kReferenceWindows,
+                                  seed * 64 + reference.size()));
+    report->Ops(reference.back().requests, reference.back().errors);
+  };
+  std::vector<Rung> above;
+  for (size_t i = 0; i < std::size(kLadder); i++) {
+    reference_window();
+    const Samples win = RunWindow(sched, searcher, tracer, data, gt, kLadder[i].rate,
+                                  seconds * kLadder[i].share, seed * 1000 + i);
+    report->Ops(win.requests, win.errors);
+    above.push_back(MakeRung(kLadder[i].rate, {win}));
+    if (!above.back().pass) break;
   }
   for (size_t b = 0; b < kBursts; b++) {
-    const Burst burst = QuietWindow(&ladder.quiet, [&] {
-      return RunBurst(sched, data, seed * 1000 + 100 + b);
-    });
+    reference_window();
+    const Burst burst = RunBurst(sched, data, seed * 1000 + 100 + b);
+    report->Ops(kBurstRequests, burst.failed);
     ladder.burst_qps.push_back(burst.qps);
-    ladder.burst_requests += kBurstRequests;
-    ladder.burst_failed += burst.failed;
   }
+  while (reference.size() < kReferenceWindows) reference_window();
   ladder.clock.Stop();
+  ladder.rungs.push_back(MakeRung(kReferenceRate, reference));
+  ladder.rungs.insert(ladder.rungs.end(), above.begin(), above.end());
   size_t fail = 0;
   while (fail < ladder.rungs.size() && ladder.rungs[fail].pass) fail++;
   if (fail == ladder.rungs.size()) {
@@ -401,6 +414,12 @@ Ladder RunLadder(cagra::ServingScheduler& sched, TracingSearcher& searcher,
   return ladder;
 }
 
+std::string JsonArray(const std::vector<double>& v) {
+  std::string s = "[";
+  for (double x : v) s += (s.size() > 1 ? ", " : "") + JsonNumber(x);
+  return s + "]";
+}
+
 std::string LadderJson(const Ladder& ladder) {
   std::string s = "[";
   for (size_t i = 0; i < ladder.rungs.size(); i++) {
@@ -409,6 +428,7 @@ std::string LadderJson(const Ladder& ladder) {
          ", \"requests\": " + std::to_string(r.s.requests) +
          ", \"misses\": " + std::to_string(r.s.misses) +
          ", \"p50_ms\": " + JsonNumber(r.p50_ms) +
+         ", \"window_p50_ms\": " + JsonArray(r.window_p50_ms) +
          ", \"p95_ms\": " + JsonNumber(r.p95_ms) +
          ", \"p99_ms\": " + JsonNumber(r.p99_ms) +
          ", \"drain_ms\": " + JsonNumber(r.s.drain_ms) +
@@ -418,14 +438,6 @@ std::string LadderJson(const Ladder& ladder) {
          ", \"pass\": " + (r.pass ? "true" : "false") + "}";
   }
   return s + "]";
-}
-
-/// Every request is an operation. Shed, expired and partial requests
-/// are measured overload outcomes (SLO misses); any other error status
-/// is a program failure.
-void CountOps(const Ladder& ladder, Report* report) {
-  for (const Rung& r : ladder.rungs) report->Ops(r.s.requests, r.s.errors);
-  report->Ops(ladder.burst_requests, ladder.burst_failed);
 }
 
 }  // namespace
@@ -479,20 +491,21 @@ void RunServe(const Args& args, Report* report) {
   volatile float sink = 0;
   for (size_t i = 0; i < mapped->rows(); i++) sink = sink + mapped->Row(i)[0];
 
+  // peak_rss_mb is the serving footprint: resident graph and PQ codes,
+  // the mapped rows, the schedulers and the benchmark's own inputs —
+  // not the peak of the in-RAM Build before LoadOutOfCore.
+  report->Check(ResetPeakRss(), "restart the peak RSS after set-up");
+
   Tracer tracer(false);
   TracingSearcher searcher(index, &tracer);
   cagra::ServingScheduler sched(searcher, MakeServingOptions());
   WarmUp(sched, searcher, data, gt, args, report);
 
   const Ladder untraced =
-      RunLadder(sched, searcher, tracer, data, gt, args.seconds, args.seed);
+      RunLadder(sched, searcher, tracer, data, gt, args.seconds, args.seed, report);
   sched.Shutdown();
-  CountOps(untraced, report);
-  untraced.quiet.Detail("measure", report);
   report->Detail("ladder", LadderJson(untraced));
-  std::string bursts = "[";
-  for (double q : untraced.burst_qps) bursts += (bursts.size() > 1 ? ", " : "") + JsonNumber(q);
-  report->Detail("burst_qps", bursts + "]");
+  report->Detail("burst_qps", JsonArray(untraced.burst_qps));
   std::vector<double> lag;
   for (const Rung& r : untraced.rungs) {
     lag.insert(lag.end(), r.s.lag_ms.begin(), r.s.lag_ms.end());
@@ -532,9 +545,7 @@ void RunServe(const Args& args, Report* report) {
   cagra::ServingScheduler traced_sched(traced_searcher, MakeServingOptions());
   WarmUp(traced_sched, traced_searcher, data, gt, args, report);
   const Ladder traced = RunLadder(traced_sched, traced_searcher, traced_tracer,
-                                 data, gt, args.seconds, args.seed);
-  CountOps(traced, report);
-  traced.quiet.Detail("traced", report);
+                                 data, gt, args.seconds, args.seed, report);
   report->Check(traced.reference() != nullptr, "traced reference rung ran");
   if (traced.reference() == nullptr) return;
   const Rung& tref = *traced.reference();
@@ -576,7 +587,10 @@ void RunServe(const Args& args, Report* report) {
   report->Metric("ooc.major_faults", static_cast<double>(u1.major_faults - u0.major_faults), "count");
   report->Metric("ooc.minor_faults", static_cast<double>(u1.minor_faults - u0.minor_faults), "count");
   ProcessMetrics(traced.clock, report);
-  TraceOverhead(ref.p50_ms, tref.p50_ms, report);
+  // Tracing adds a span and a tally update to every micro-batch's
+  // search, inside the time the scheduler reports as execute time.
+  TraceOverhead(Quantile(ref.s.execute_ms, 0.5), Quantile(tref.s.execute_ms, 0.5),
+                report);
   report->Detail("traced_ladder", LadderJson(traced));
   DumpSpans(args, traced_tracer, report);
 }
