@@ -21,16 +21,20 @@ namespace hostbench {
 
 namespace {
 
-constexpr size_t kRows = 12000;
+constexpr size_t kRows = 6000;
 constexpr size_t kShards = 4;
 constexpr size_t kQueryPool = 2000;
 constexpr size_t kReaderBatch = 64;
 /// Writer schedule: kWriteRate pairs per second, each an Add of
 /// kWriteRows fresh rows then a Remove of the kWriteRows oldest live
-/// ones. At 1200 rows/s the dead fraction of every shard crosses the
-/// default 0.25 trigger about every 3.3 s.
+/// ones. At 600 rows/s the dead fraction of every shard crosses the
+/// default 0.25 trigger about every 3.3 s. Compaction's share of the
+/// CPU grows with the removal rate; at twice this rate on twice the
+/// rows it fell behind whenever the host was contended (dead fraction
+/// overshot the trigger, reads slowed), which doubled the run-to-run
+/// spread of the reader's throughput.
 constexpr double kWriteRate = 20;
-constexpr size_t kWriteRows = 60;
+constexpr size_t kWriteRows = 30;
 /// Set-ups per run; setup_s is their median.
 constexpr size_t kSetups = 3;
 /// Measurement window length (about 200 reader batches, so a window's
