@@ -37,9 +37,6 @@ constexpr double kWriteRate = 20;
 constexpr size_t kWriteRows = 30;
 /// Set-ups per run; setup_s is their median.
 constexpr size_t kSetups = 3;
-/// Measurement window length (about 200 reader batches, so a window's
-/// p95 has 10 beyond it).
-constexpr double kWindowSeconds = 3;
 constexpr double kRecallFloor = 0.9;
 
 cagra::SearchParams ReaderParams() {
@@ -76,37 +73,17 @@ struct Phase {
   double reader_wall_s = 0;
   SearchTally tally;  ///< traced phases only
   PhaseClock clock;
-  /// Per-window reader statistics; the end-to-end metrics are their
-  /// medians, so one disturbed window cannot move them.
-  std::vector<double> window_p50, window_p95, window_qps;
-
-  void Append(const Phase& o) {
-    for (auto [dst, src] : {std::pair{&write_ms, &o.write_ms},
-                            std::pair{&add_ms, &o.add_ms},
-                            std::pair{&remove_ms, &o.remove_ms},
-                            std::pair{&lag_ms, &o.lag_ms},
-                            std::pair{&search_ms, &o.search_ms}}) {
-      dst->insert(dst->end(), src->begin(), src->end());
-    }
-    dead_frac_max = std::max(dead_frac_max, o.dead_frac_max);
-    compactions += o.compactions;
-    write_ops += o.write_ops;
-    write_failed += o.write_failed;
-    search_ops += o.search_ops;
-    search_failed += o.search_failed;
-    rows_searched += o.rows_searched;
-    stale_hits += o.stale_hits;
-    reader_wall_s += o.reader_wall_s;
-    tally.Merge(o.tally);
-  }
 };
 
-/// One measurement window of `seconds` of churn. `next_extra` indexes
-/// the next unused row of `extra`; `live` is the FIFO of live global ids.
-Phase RunWindow(cagra::ShardedCagraIndex& index, const Inputs& data,
-               double seconds, Tracer& tracer, size_t* next_extra,
-               std::deque<uint32_t>* live,
-               std::vector<std::atomic<int64_t>>* removed_at) {
+/// One measured phase: `seconds` of churn, which spans several
+/// compaction cycles. `next_extra` indexes the next unused row of
+/// `extra`; `live` is the FIFO of live global ids.
+Phase MeasureChurn(cagra::ShardedCagraIndex& index, const Inputs& data,
+                   double seconds, Tracer& tracer, size_t* next_extra,
+                   std::deque<uint32_t>* live,
+                   std::vector<std::atomic<int64_t>>* removed_at,
+                   Report* report) {
+  tracer.Clear();
   Phase ph;
   std::atomic<bool> stop{false};
   const Clock::time_point start = Clock::now();
@@ -205,44 +182,31 @@ Phase RunWindow(cagra::ShardedCagraIndex& index, const Inputs& data,
     const double rows_now = static_cast<double>(index.live_size() + dead);
     ph.dead_frac_max = std::max(ph.dead_frac_max, static_cast<double>(dead) / rows_now);
   }
-  // Keep the reader running until the end of the measured window.
+  // Keep the reader running until the end of the measured phase.
   std::this_thread::sleep_until(
       start + std::chrono::duration_cast<Clock::duration>(
                   std::chrono::duration<double>(seconds)));
   stop.store(true, std::memory_order_release);
   reader.join();
-  return ph;
-}
-
-void CountOps(const Phase& ph, Report* report) {
+  ph.clock.Stop();
   report->Ops(ph.write_ops, ph.write_failed);
   report->Ops(ph.search_ops, ph.search_failed);
   report->Check(ph.stale_hits == 0,
                 std::to_string(ph.stale_hits) +
                     " result ids were removed before their search started");
+  return ph;
 }
 
-/// One measured phase: `seconds` of churn as measurement windows.
-Phase MeasureChurn(cagra::ShardedCagraIndex& index, const Inputs& data,
-                   double seconds, Tracer& tracer, size_t* next_extra,
-                   std::deque<uint32_t>* live,
-                   std::vector<std::atomic<int64_t>>* removed_at,
-                   Report* report) {
-  tracer.Clear();
-  Phase total;
-  const size_t windows = WindowCount(seconds, kWindowSeconds);
-  for (size_t w = 0; w < windows; w++) {
-    const Phase win = RunWindow(index, data, seconds / static_cast<double>(windows),
-                                tracer, next_extra, live, removed_at);
-    CountOps(win, report);
-    total.window_p50.push_back(Quantile(win.search_ms, 0.5));
-    total.window_p95.push_back(Quantile(win.search_ms, 0.95));
-    total.window_qps.push_back(static_cast<double>(win.rows_searched) /
-                               win.reader_wall_s);
-    total.Append(win);
-  }
-  total.clock.Stop();
-  return total;
+/// The reader's throughput: the median over every reader batch of the
+/// phase of its rows per second. A median, like batch's over its calls:
+/// the mean (rows over reader wall time, in the details) also counts the
+/// few batches a disturbance of the host stalls, and on a shared 4-vCPU
+/// VM it spread twice as wide as the median from run to run.
+double ReaderQps(const Phase& ph) {
+  std::vector<double> rates;
+  rates.reserve(ph.search_ms.size());
+  for (double ms : ph.search_ms) rates.push_back(kReaderBatch * 1e3 / ms);
+  return Median(rates);
 }
 
 }  // namespace
@@ -278,7 +242,9 @@ void RunChurn(const Args& args, Report* report) {
   Tracer off(false);
   const Phase untraced = MeasureChurn(index, data, args.seconds, off,
                                      &next_extra, &live, &removed_at, report);
-  const double search_qps = Median(untraced.window_qps);
+  const double search_qps = ReaderQps(untraced);
+  report->Detail("reader_rows_per_s_mean",
+                 static_cast<double>(untraced.rows_searched) / untraced.reader_wall_s);
   report->Detail("compactions_observed", static_cast<double>(untraced.compactions));
   report->Detail("dead_frac_max", untraced.dead_frac_max);
   report->Detail("writer_lag_p99_ms", Quantile(untraced.lag_ms, 0.99));
@@ -310,7 +276,7 @@ void RunChurn(const Args& args, Report* report) {
                    static_cast<double>(traced.compactions), "count");
     report->Metric("loadgen.lag_ms.p99", Quantile(traced.lag_ms, 0.99), "ms");
     report->Metric("loadgen.lag_ms.max", Quantile(traced.lag_ms, 1.0), "ms");
-    const double traced_qps = Median(traced.window_qps);
+    const double traced_qps = ReaderQps(traced);
     // Lower-is-better form of search_qps: seconds per million rows.
     TraceOverhead(1e6 / search_qps, 1e6 / traced_qps, report);
   }
@@ -359,15 +325,16 @@ void RunChurn(const Args& args, Report* report) {
                     " below floor");
 
   if (!args.trace) {
-    // search_qps counts reader rows under writes; the latencies are the
-    // reader's 64-query batch calls; recall is after the final Compact.
+    // search_qps is the reader's rows per second under writes; the
+    // latencies are the reader's 64-query batch calls; recall is after
+    // the final Compact.
     EndToEnd e2e;
     e2e.setup_s = Median(setups);
     e2e.recall_at_10 = recall;
     e2e.search_qps = search_qps;
-    e2e.search_p50_ms = Median(untraced.window_p50);
+    e2e.search_p50_ms = Quantile(untraced.search_ms, 0.5);
     EndToEndMetrics(e2e, report);
-    WorkloadMetric("search_p95_ms", Median(untraced.window_p95), "ms", report);
+    WorkloadMetric("search_p95_ms", Quantile(untraced.search_ms, 0.95), "ms", report);
     WorkloadMetric("write_p50_ms", Quantile(untraced.write_ms, 0.5), "ms", report);
     WorkloadMetric("write_p99_ms", Quantile(untraced.write_ms, 0.99), "ms", report);
     WorkloadMetric("search_p99_ms", Quantile(untraced.search_ms, 0.99), "ms", report);

@@ -250,10 +250,6 @@ bool ResetPeakRss() {
   return static_cast<bool>(f);
 }
 
-size_t WindowCount(double seconds, double window_seconds) {
-  return std::max<size_t>(1, static_cast<size_t>(seconds / window_seconds + 0.5));
-}
-
 void TraceOverhead(double untraced, double traced, Report* report) {
   const double pct = untraced > 0 ? (traced - untraced) / untraced * 100.0 : 0.0;
   report->Metric("trace.overhead_pct", pct, "%");

@@ -125,9 +125,6 @@ double PeakRssMb();
 /// covers only what runs from here on. False when unsupported.
 bool ResetPeakRss();
 
-/// Splits `seconds` into windows of about `window_seconds` (at least one).
-size_t WindowCount(double seconds, double window_seconds);
-
 /// trace.overhead_pct: how much worse `traced` is than `untraced` for a
 /// lower-is-better measure of the same phase.
 void TraceOverhead(double untraced, double traced, Report* report);

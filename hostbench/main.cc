@@ -15,20 +15,24 @@
 // Every workload reports the same end-to-end metrics: setup_s,
 // peak_rss_mb, recall_at_10, search_qps, search_p50_ms.
 // What search_qps and the latencies measure is the workload's own:
-//   batch  QPS at recall@10 0.95 (itopk-sweep Pareto frontier); latency
-//          of one 10k-query batch call at itopk 32 (where recall is).
+//   batch  QPS and latency of 10k-query batch calls at the itopk 32
+//          operating point (where recall is measured); QPS at recall
+//          0.95/0.99 on the itopk-sweep frontier goes to the details.
 //   serve  capacity (requests/s completed in back-to-back bursts);
 //          per-request latency from the scheduled send at the 50 QPS
 //          Poisson reference rung; peak RSS from LoadOutOfCore on.
-//   churn  reader query rows per second under the writer; latency of one
-//          64-query reader batch; recall after the final Compact.
+//   churn  reader query rows per second under the writer (median over
+//          its batches); latency of one 64-query reader batch; recall
+//          after the final Compact.
 // Latency tails (p95, p99) and the workload-specific headlines
 // (qps_at_r95/r99, max_qps_under_slo and the 200 QPS rung,
 // write_p50/p99_ms) go to the details line.
 //
-// Measured phases run as windows of a second or a few; latency and
-// throughput are order statistics over windows, so one window the host
-// disturbed does not move them.
+// The end-to-end throughput and latency rest on most of the measured
+// phase, never on a few short calls: batch's on the operating point's
+// calls, serve's on reference windows and capacity bursts interleaved
+// with the ladder, churn's on every reader batch of a phase that spans
+// several compaction cycles.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -42,21 +42,25 @@ constexpr size_t kQueryPool = 2000;
 constexpr double kReferenceRate = 50;
 /// The reference rung gets this share of --seconds, as kReferenceWindows
 /// windows spread over the whole ladder: one before each rung above it
-/// and each burst, the rest at the end (45 requests a window at 12 s).
-constexpr double kReferenceShare = 0.6;
+/// and each burst, the rest at the end (56 requests a window at 20 s).
+constexpr double kReferenceShare = 0.45;
 constexpr size_t kReferenceWindows = 8;
 /// The rungs above the reference, each one window of the given share of
-/// --seconds; the ladder totals ~1x --seconds when every rung runs.
+/// --seconds; the ladder takes ~0.3x --seconds when every rung runs.
 struct RungSpec {
   double rate;
   double share;
 };
-constexpr RungSpec kLadder[] = {{100, 0.1}, {200, 0.1},   {400, 0.1},
-                                {800, 0.05}, {1600, 0.025}, {3200, 0.0125}};
-/// Capacity bursts: each submits kBurstRequests back to back (half the
-/// admission queue, so nothing is shed).
-constexpr size_t kBursts = 3;
-constexpr size_t kBurstRequests = 512;
+constexpr RungSpec kLadder[] = {{100, 0.075}, {200, 0.075},  {400, 0.075},
+                                {800, 0.04},  {1600, 0.02}, {3200, 0.01}};
+/// Capacity bursts: each submits kBurstRequests back to back (a quarter
+/// of the admission queue, so nothing is shed). Bursts repeat until they
+/// have taken kBurstShare of --seconds and at least kMinBursts ran; the
+/// capacity is their median, so it rests on a dozen bursts rather than
+/// on the few a disturbance of the host would slow.
+constexpr double kBurstShare = 0.25;
+constexpr size_t kMinBursts = 3;
+constexpr size_t kBurstRequests = 256;
 /// Share of --seconds the untimed warm-up rung runs for.
 constexpr double kWarmUpShare = 0.1;
 /// Latency objective on a rung's p95 (the median over its windows),
@@ -332,6 +336,7 @@ struct Ladder {
 /// submit to the last completion.
 struct Burst {
   double qps = 0;
+  double seconds = 0;
   size_t failed = 0;
 };
 Burst RunBurst(cagra::ServingScheduler& sched, const Inputs& data,
@@ -348,8 +353,8 @@ Burst RunBurst(cagra::ServingScheduler& sched, const Inputs& data,
   for (auto& f : futures) {
     if (!f.get().ok()) b.failed++;
   }
-  b.qps = static_cast<double>(kBurstRequests - b.failed) /
-          SecondsBetween(t0, Clock::now());
+  b.seconds = SecondsBetween(t0, Clock::now());
+  b.qps = static_cast<double>(kBurstRequests - b.failed) / b.seconds;
   return b;
 }
 
@@ -383,11 +388,13 @@ Ladder RunLadder(cagra::ServingScheduler& sched, TracingSearcher& searcher,
     above.push_back(MakeRung(kLadder[i].rate, {win}));
     if (!above.back().pass) break;
   }
-  for (size_t b = 0; b < kBursts; b++) {
+  double burst_s = 0;
+  for (size_t b = 0; b < kMinBursts || burst_s < seconds * kBurstShare; b++) {
     reference_window();
     const Burst burst = RunBurst(sched, data, seed * 1000 + 100 + b);
     report->Ops(kBurstRequests, burst.failed);
     ladder.burst_qps.push_back(burst.qps);
+    burst_s += burst.seconds;
   }
   while (reference.size() < kReferenceWindows) reference_window();
   ladder.clock.Stop();
