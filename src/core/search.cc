@@ -123,15 +123,6 @@ Status ValidateSearchParams(const SearchParams& params) {
 
 Result<SearchResult> Search(const CagraIndex& index,
                             const Matrix<float>& queries,
-                            const SearchParams& params, Precision precision,
-                            const DeviceSpec& device) {
-  SearchParams p = params;
-  p.precision = precision;
-  return Search(index, queries, p, device);
-}
-
-Result<SearchResult> Search(const CagraIndex& index,
-                            const Matrix<float>& queries,
                             const SearchParams& params,
                             const DeviceSpec& device) {
   const Precision precision = params.precision;
@@ -164,8 +155,8 @@ Result<SearchResult> Search(const CagraIndex& index,
 
   // --- Mode selection (Fig. 7 rule; thresholds track the device).
   // ResolveBatchShape is the single owner of the batch-shape auto
-  // choices so chunked callers (streaming sharded search) pin exactly
-  // what an unchunked run would pick.
+  // choices, so callers that pin them up front (serving, sharded
+  // search) get exactly what this call would pick.
   const SearchParams shaped = ResolveBatchShape(params, device, batch);
   const SearchAlgo algo = shaped.algo;
 

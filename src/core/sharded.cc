@@ -1,11 +1,9 @@
 #include "core/sharded.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -34,16 +32,8 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr std::chrono::milliseconds kCancelDrainGrace{2};
 
 /// Poll period of the cancelable merger wait: bounds how late a manual
-/// Cancel() from another thread is forwarded into the pipeline.
+/// Cancel() from another thread is forwarded into the search.
 constexpr std::chrono::milliseconds kCancelPollPeriod{1};
-
-/// Effective chunk size of the streaming pipeline: the explicit request
-/// clamped to the batch, or the auto default of ~4 chunks per batch
-/// (minimum 8 rows, so tiny batches don't dissolve into per-row tasks).
-size_t ResolveShardChunk(size_t requested, size_t batch) {
-  if (requested == 0) requested = std::max<size_t>(8, (batch + 3) / 4);
-  return std::min(requested, batch);
-}
 
 /// The marker a task records when it skips its scan because the token
 /// expired first. Not an error of the search — the merger folds the
@@ -60,138 +50,95 @@ bool IsCancelMarker(const Status& s) {
          s.code() == StatusCode::kCancelled;
 }
 
-/// Heap-owned state of one streaming pipeline run, shared (shared_ptr)
-/// between the merging caller and every (chunk, shard) task. In
-/// cancelable mode the merger may return before every task has run —
-/// abandoned tasks keep the state alive and finish against it
-/// harmlessly, so nothing here may reference the caller's stack. The
-/// token-free path also routes through this struct (one heap
-/// allocation) but keeps the zero-copy reference to the caller's
-/// queries, which is safe because a token-free merger always drains
-/// every chunk before returning.
+/// Heap-owned state of one sharded search, shared (shared_ptr) between
+/// the merging caller and every shard task. In cancelable mode the
+/// merger may return before every task has run — abandoned tasks keep
+/// the state alive and finish against it harmlessly, so nothing here
+/// may reference the caller's stack or the index. The token-free and
+/// inline paths keep the zero-copy reference to the caller's queries,
+/// which is safe because their merger always waits for every shard.
 ///
-/// Synchronization contract (latch-published, not mutex-guarded — so
+/// Synchronization contract (queue-published, not mutex-guarded — so
 /// outside CAGRA_GUARDED_BY's vocabulary; the mutex+2cv protocol lives
 /// inside the annotated MpscBoundedQueue member `ready`):
-///  - `results[c * num_shards + s]` is written by exactly one task,
-///    then that task decrements `remaining[c]` (acq_rel). The final
-///    decrement pushes c into `ready`; the consumer's pop acquires, so
-///    a popped chunk's slots are all ordered-before the read. Slots of
-///    never-popped chunks still belong to (possibly abandoned) tasks
-///    and must not be read — Search tracks popped chunks explicitly.
-///  - `chunks[c]` is published through std::call_once(chunk_sliced[c]).
+///  - `results[s]` is written by exactly one task, which then pushes s
+///    into `ready`; the consumer's pop acquires, so a popped shard's
+///    slot is ordered-before the read. Slots of never-popped shards
+///    still belong to (possibly abandoned) tasks and must not be read —
+///    Search tracks popped shards explicitly.
 ///  - Everything else is set before the first task is submitted and
 ///    read-only afterwards (`token` is internally atomic).
-struct StreamState {
-  StreamState(size_t num_chunks_in, size_t num_shards_in,
+struct SearchState {
+  SearchState(const std::vector<CagraIndex>& shards_in,
               const CancelToken* parent)
-      : num_chunks(num_chunks_in),
-        num_shards(num_shards_in),
-        chunks(num_chunks_in),
-        chunk_sliced(num_chunks_in),
-        results(num_chunks_in * num_shards_in),
-        remaining(num_chunks_in),
-        ready(num_chunks_in),
+      : shards(shards_in),
+        results(shards_in.size()),
+        ready(shards_in.size()),
         // The derived token tasks consult: the caller's deadline is
-        // copied in (so tasks observe it on their own clock reads) and
+        // copied in (so tasks observe it on their own clock reads), a
+        // cancel requested before the call is inherited here, and later
         // manual cancels are forwarded by the merger while it is still
         // around. Tasks never touch the caller's token, whose lifetime
         // ends with the call.
         token(parent != nullptr && parent->has_deadline()
                   ? CancelToken(parent->deadline())
                   : CancelToken()) {
-    for (auto& r : remaining) r.store(num_shards, std::memory_order_relaxed);
+    if (parent != nullptr && parent->Expired()) token.Cancel();
   }
 
-  const size_t num_chunks;
-  const size_t num_shards;
-  const std::vector<CagraIndex>* shards = nullptr;
-  /// Points at the caller's matrix (token-free mode) or owned_queries
-  /// (cancelable mode).
+  /// Copies of the index's shards, taken on the caller's thread. Each
+  /// copy is one atomic snapshot load sharing every tier: it pins one
+  /// version per shard for the whole request and keeps that version
+  /// alive for an abandoned task even after the index is destroyed.
+  const std::vector<CagraIndex> shards;
+  /// Points at the caller's matrix (token-free and inline modes) or
+  /// owned_queries (cancelable pool mode).
   const Matrix<float>* queries = nullptr;
   Matrix<float> owned_queries;
   SearchParams task_params;
   DeviceSpec device;
-  size_t chunk_rows = 0;
-  size_t batch = 0;
-  bool cancelable = false;
 
-  /// Query chunks are sliced lazily, once each (whichever shard's task
-  /// gets there first), and shared by the other shards' tasks — the
-  /// copies overlap with running scans instead of serializing in front
-  /// of the whole pipeline.
-  std::vector<Matrix<float>> chunks;
-  std::vector<std::once_flag> chunk_sliced;
   std::vector<std::optional<Result<SearchResult>>> results;
-  std::vector<std::atomic<size_t>> remaining;
-  /// Carries chunk ids only (results are preallocated above), sized to
-  /// hold every chunk: a worker that finishes a chunk never blocks
-  /// behind a busy merger while runnable search tasks sit in the pool
-  /// queue — and an abandoned task's final push cannot block either.
+  /// Carries shard indices only (results are preallocated above), sized
+  /// to hold every shard, so neither a finishing nor an abandoned task
+  /// can ever block on its push.
   MpscBoundedQueue<size_t> ready;
   CancelToken token;
-
-  const Matrix<float>& ChunkQueries(size_t c) {
-    std::call_once(chunk_sliced[c], [this, c] {
-      const size_t begin = c * chunk_rows;
-      chunks[c] =
-          SliceQueries(*queries, begin, std::min(chunk_rows, batch - begin));
-    });
-    return chunks[c];
-  }
 };
 
-/// One (chunk, shard) task of the streaming pipeline. Owns a reference
-/// to the shared state (and nothing else), so it runs correctly even
-/// after a cancelled merger has returned.
-void RunShardTask(const std::shared_ptr<StreamState>& st, size_t c,
-                  size_t s) {
-  auto publish = [&] {
-    if (st->remaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      CAGRA_FAULT_POINT("queue_push_stall");
-      st->ready.Push(c);
-    }
-  };
-  std::optional<Result<SearchResult>>& slot =
-      st->results[c * st->num_shards + s];
-
+/// One shard's search over the whole batch. Owns a reference to the
+/// shared state (and nothing else), so it runs correctly even after a
+/// cancelled merger has returned and the index is gone.
+void RunShardTask(const std::shared_ptr<SearchState>& st, size_t s) {
+  // Shed the scan once the search is cancelled: an expired deadline
+  // means nobody is waiting for this shard anymore. The task's token is
+  // the derived one on the pool path, the caller's own on the inline
+  // path — whatever task_params carries. Decided on entry, so a task
+  // stalled past this point still scans once it wakes, possibly after
+  // an abandoning merger returned — against the state's own shard
+  // copy, never the index.
+  const CancelToken* task_token = st->task_params.cancel;
+  const bool shed = task_token != nullptr && task_token->Expired();
   CAGRA_FAULT_POINT("shard_scan_stall");
   Status injected = CAGRA_FAULT_STATUS("shard_scan_fail");
+  std::optional<Result<SearchResult>>& slot = st->results[s];
   if (!injected.ok()) {
     slot.emplace(injected);
-    publish();
-    return;
-  }
-  // Shed before scanning once the pipeline is cancelled: an expired
-  // deadline means nobody is waiting for this chunk anymore. The task's
-  // token is the pipeline's derived one on the pool path, the caller's
-  // own on the inline path — whatever task_params carries.
-  const CancelToken* task_token = st->task_params.cancel;
-  if (st->cancelable && task_token->Expired()) {
+  } else if (shed) {
     slot.emplace(CancelMarker(*task_token));
-    publish();
-    return;
+  } else {
+    slot.emplace(cagra::Search(st->shards[s], *st->queries, st->task_params,
+                               st->device));
   }
-
-  SearchParams p = st->task_params;
-  // Chunk-local row q is global row c * chunk_rows + q; offsetting the
-  // seed by the chunk base keeps every per-query seed equal to the
-  // unchunked run's (Search derives them as seed + 0x1000003 * row).
-  // Under uniform_seed every row uses the seed verbatim, so the offset
-  // must be skipped to stay identical to the unchunked run.
-  if (!st->task_params.uniform_seed) {
-    p.seed = st->task_params.seed + 0x1000003ULL * (c * st->chunk_rows);
-  }
-  slot.emplace(
-      cagra::Search((*st->shards)[s], st->ChunkQueries(c), p, st->device));
-  publish();
+  CAGRA_FAULT_POINT("queue_push_stall");
+  st->ready.Push(s);
 }
 
 /// The merger's wait in cancelable mode. Polls so a manual Cancel() on
-/// the caller's token is forwarded into the pipeline's derived token;
-/// on expiry grants kCancelDrainGrace for in-flight chunks to publish,
+/// the caller's token is forwarded into the search's derived token; on
+/// expiry grants kCancelDrainGrace for in-flight shards to publish,
 /// then reports nullopt — the signal to abandon the stragglers.
-std::optional<size_t> PopCancelable(StreamState* st,
+std::optional<size_t> PopCancelable(SearchState* st,
                                     const CancelToken* caller) {
   while (true) {
     if (st->token.Expired()) {
@@ -201,8 +148,8 @@ std::optional<size_t> PopCancelable(StreamState* st,
     if (st->token.has_deadline() && st->token.deadline() < until) {
       until = st->token.deadline();
     }
-    std::optional<size_t> c = st->ready.PopUntil(until);
-    if (c.has_value()) return c;
+    std::optional<size_t> s = st->ready.PopUntil(until);
+    if (s.has_value()) return s;
     if (caller->Expired()) st->token.Cancel();
   }
 }
@@ -458,126 +405,20 @@ std::vector<ShardedCagraIndex::IdMapPtr> ShardedCagraIndex::PinIdMaps()
 
 void ShardedCagraIndex::MergeRows(
     const std::vector<std::pair<size_t, const SearchResult*>>& shard_results,
-    const std::vector<IdMapPtr>& maps, size_t begin, size_t rows, size_t k,
+    const std::vector<IdMapPtr>& maps, size_t batch, size_t k,
     NeighborList* out) const {
   const size_t num_lists = shard_results.size();
   std::vector<ShardMergeList> lists(num_lists);
-  for (size_t q = 0; q < rows; q++) {
+  for (size_t q = 0; q < batch; q++) {
     for (size_t l = 0; l < num_lists; l++) {
       const size_t s = shard_results[l].first;
       const NeighborList& n = shard_results[l].second->neighbors;
       lists[l] = {n.distances.data() + q * k, n.ids.data() + q * k, k,
                   maps[s]->data(), maps[s]->size()};
     }
-    MergeShardTopK(lists.data(), num_lists, k,
-                   out->ids.data() + (begin + q) * k,
-                   out->distances.data() + (begin + q) * k);
+    MergeShardTopK(lists.data(), num_lists, k, out->ids.data() + q * k,
+                   out->distances.data() + q * k);
   }
-}
-
-Result<SearchResult> ShardedCagraIndex::SearchBarrier(
-    const Matrix<float>& queries, const SearchParams& params,
-    Precision precision, const DeviceSpec& device) const {
-  SearchParams p = params;
-  p.precision = precision;
-  return SearchBarrier(queries, p, device);
-}
-
-Result<SearchResult> ShardedCagraIndex::SearchBarrier(
-    const Matrix<float>& queries, const SearchParams& params,
-    const DeviceSpec& device) const {
-  CAGRA_RETURN_IF_ERROR(ValidateSearch(params));
-
-  const size_t k = params.k;
-  const size_t batch = queries.rows();
-  const size_t num_shards = shards_.size();
-  // Pin the id translation alongside the shard snapshots the per-shard
-  // searches will pin: concurrent Adds publish grown maps, never move
-  // these.
-  const std::vector<IdMapPtr> maps = PinIdMaps();
-
-  // Pin the batch-shape auto choices exactly as the streaming path does,
-  // so both paths hand every shard identical effective params. The
-  // caller's token rides along: per-shard searches observe it at
-  // iteration boundaries, and ParallelFor joins before returning, so no
-  // task outlives the caller's stack here (no detachment to guard).
-  const SearchParams shard_params = ResolveBatchShape(params, device, batch);
-
-  SearchResult out;
-  out.neighbors.k = k;
-  out.neighbors.ids.assign(batch * k, kInvalidShardEntry);
-  out.neighbors.distances.assign(batch * k, kInf);
-  out.rows_examined.assign(batch, 0);
-
-  // Shards search the whole batch in parallel on the host pool; nothing
-  // merges until every shard has finished (the global barrier).
-  std::vector<std::optional<Result<SearchResult>>> shard_results(num_shards);
-  Timer host;
-  auto search_shard = [&](size_t s) {
-    shard_results[s].emplace(
-        cagra::Search(shards_[s], queries, shard_params, device));
-  };
-  if (params.num_threads != 0) {
-    // An explicit width is a total budget: run shards sequentially and
-    // let each per-shard Search use the full width (num_threads == 1
-    // is then fully serial). Fanning shards out here too would
-    // multiply the budget by num_shards.
-    for (size_t s = 0; s < num_shards; s++) search_shard(s);
-  } else {
-    GlobalThreadPool().ParallelFor(0, num_shards, search_shard);
-  }
-
-  // Result metadata aggregates over *all* shards, not shard 0: counters
-  // sum (additive work), host_threads takes the widest shard, and the
-  // modeled cost/launch come from the slowest shard — the one the
-  // parallel execution actually waits for.
-  double slowest_shard = 0.0;
-  size_t slowest_index = 0;
-  out.host_threads = 0;
-  std::vector<std::pair<size_t, const SearchResult*>> merged;
-  merged.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; s++) {
-    Result<SearchResult>& r = *shard_results[s];
-    if (!r.ok()) return r.status();
-    if (s == 0 || r->modeled_seconds > slowest_shard) {
-      slowest_shard = r->modeled_seconds;
-      slowest_index = s;
-    }
-    out.counters.Add(r->counters);
-    out.host_threads = std::max(out.host_threads, r->host_threads);
-    // Partial-result bookkeeping: a shard truncated by the token makes
-    // the merged batch incomplete; rows-examined sums over shards (each
-    // scanned its own sub-dataset for the query).
-    if (!r->complete) out.complete = false;
-    for (size_t q = 0; q < batch && q < r->rows_examined.size(); q++) {
-      out.rows_examined[q] += r->rows_examined[q];
-    }
-    merged.emplace_back(s, &r.value());
-  }
-  MergeRows(merged, maps, 0, batch, k, &out.neighbors);
-  out.host_seconds = host.Seconds();
-  out.host_qps = out.host_seconds > 0
-                     ? static_cast<double>(batch) / out.host_seconds
-                     : 0.0;
-
-  {
-    const SearchResult& slowest = **shard_results[slowest_index];
-    out.cost = slowest.cost;
-    out.launch = slowest.launch;
-    out.algo_used = slowest.algo_used;
-    out.team_size_used = slowest.team_size_used;
-  }
-
-  // Shards execute on independent devices in parallel; the query pays
-  // the slowest shard plus the host merge of the *whole* batch — the
-  // serial tail the streaming pipeline exists to hide.
-  out.modeled_seconds =
-      slowest_shard + kMergeOverheadPerQueryShard *
-                          static_cast<double>(batch * num_shards);
-  out.modeled_qps = out.modeled_seconds > 0
-                        ? static_cast<double>(batch) / out.modeled_seconds
-                        : 0.0;
-  return out;
 }
 
 Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
@@ -587,64 +428,34 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
 
 Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
                                                const SearchParams& params,
-                                               Precision precision,
-                                               const DeviceSpec& device) const {
-  SearchParams p = params;
-  p.precision = precision;
-  return Search(queries, p, device);
-}
-
-Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
-                                               const SearchParams& params,
                                                const DeviceSpec& device) const {
   CAGRA_RETURN_IF_ERROR(ValidateSearch(params));
 
-  const size_t batch = queries.rows();
-  // Nothing to stream over; the barrier path handles the empty batch
-  // (and is trivially identical to it).
-  if (batch == 0) return SearchBarrier(queries, params, device);
-
   const size_t k = params.k;
+  const size_t batch = queries.rows();
   const size_t num_shards = shards_.size();
   const CancelToken* caller_token = params.cancel;
-  const bool cancelable = caller_token != nullptr;
-  // Pinned once for the whole streaming run; every chunk merge
-  // translates through the same maps (see PinIdMaps).
+  // Pin the id maps, then the shards (copied into the state): Add grows
+  // a shard before it publishes the grown map, so every pinned shard is
+  // at least as new as its map, and rows the map lacks read as padding.
   const std::vector<IdMapPtr> maps = PinIdMaps();
-
-  // Auto choices that depend on the batch shape (execution mode,
-  // multi-CTA width) are resolved once on the full batch: a chunk must
-  // never search differently than the same rows would in an unchunked
-  // run, or chunking would change the results.
-  const size_t chunk_rows =
-      ResolveShardChunk(params.shard_chunk_queries, batch);
-  const size_t num_chunks = (batch + chunk_rows - 1) / chunk_rows;
-
-  auto st = std::make_shared<StreamState>(num_chunks, num_shards,
-                                          caller_token);
-  st->shards = &shards_;
+  auto st = std::make_shared<SearchState>(shards_, caller_token);
+  // Batch-shape auto choices (execution mode, multi-CTA width) are
+  // resolved once on the full batch and shared by every shard.
   st->task_params = ResolveBatchShape(params, device, batch);
   st->device = device;
-  st->chunk_rows = chunk_rows;
-  st->batch = batch;
-  st->cancelable = cancelable;
-  if (cancelable && params.num_threads == 0) {
+  st->queries = &queries;
+  const bool detachable = caller_token != nullptr && params.num_threads == 0;
+  if (detachable) {
     // Pool-scheduled tasks may outlive this call (abandonment), so they
     // must not reference the caller's stack: queries are copied into
-    // the shared state once, and tasks consult the pipeline's derived
-    // token, never the caller's. The token-free path skips the copy —
-    // its merger provably drains every chunk before returning, keeping
-    // the hot path zero-copy and byte-identical to the
-    // pre-cancellation code.
+    // the shared state once, and tasks consult the derived token, never
+    // the caller's. Inline tasks run to completion on this stack, so
+    // they keep the caller's token (already copied into task_params) —
+    // which also lets a manual Cancel() land mid-search.
     st->owned_queries = queries;
     st->queries = &st->owned_queries;
     st->task_params.cancel = &st->token;
-  } else {
-    // Inline tasks run to completion on this stack before the call
-    // returns, so they may keep the caller's token (already copied into
-    // task_params by ResolveBatchShape) — which also lets a manual
-    // Cancel() land mid-search instead of waiting for a task boundary.
-    st->queries = &queries;
   }
 
   SearchResult out;
@@ -653,145 +464,94 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
   out.neighbors.distances.assign(batch * k, kInf);
   out.rows_examined.assign(batch, 0);
 
-  // Which chunks the merger has popped. A popped chunk's result slots
-  // are all written and ordered-before the pop (the latch's acq_rel
-  // decrement), so only popped chunks may be read after the loop —
-  // under abandonment the other slots still belong to live tasks.
-  std::vector<uint8_t> chunk_popped(num_chunks, 0);
-
-  auto merge_chunk = [&](size_t c) {
-    chunk_popped[c] = 1;
-    std::vector<std::pair<size_t, const SearchResult*>> shard_results;
-    shard_results.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; s++) {
-      Result<SearchResult>& r = *st->results[c * num_shards + s];
-      if (!r.ok()) {
-        if (IsCancelMarker(r.status())) {
-          // This shard shed its scan at the deadline; merge the shards
-          // that did run — best-effort partial rows.
-          out.complete = false;
-          continue;
-        }
-        return;  // real error: reported after the pipeline drains
-      }
-      if (!r->complete) out.complete = false;
-      const size_t begin = c * chunk_rows;
-      const size_t rows = std::min(chunk_rows, batch - begin);
-      for (size_t q = 0; q < rows && q < r->rows_examined.size(); q++) {
-        out.rows_examined[begin + q] += r->rows_examined[q];
-      }
-      shard_results.emplace_back(s, &r.value());
-    }
-    if (shard_results.empty()) return;  // fully shed chunk: padding stays
-    const size_t begin = c * chunk_rows;
-    MergeRows(shard_results, maps, begin,
-              std::min(chunk_rows, batch - begin), k, &out.neighbors);
-  };
+  // Which shards the merger has popped. A popped shard's result slot is
+  // written and ordered-before the pop, so only popped shards may be
+  // read below — under abandonment the other slots belong to live tasks.
+  std::vector<uint8_t> popped(num_shards, 0);
 
   Timer host;
   if (params.num_threads != 0) {
-    // An explicit width is a total budget: tasks run inline in
-    // (chunk, shard) order with each per-chunk search at the full
-    // width — the same streaming structure on a serial schedule. Every
-    // task runs on this thread (expired tokens shed inside the task),
-    // so every chunk publishes and no abandonment arises.
-    for (size_t c = 0; c < num_chunks; c++) {
-      for (size_t s = 0; s < num_shards; s++) RunShardTask(st, c, s);
-      merge_chunk(*st->ready.Pop());
-    }
+    // An explicit width is a total budget: shards run inline one after
+    // another and each per-shard search uses the full width
+    // (num_threads == 1 is then fully serial). Fanning shards out here
+    // too would multiply the budget by num_shards.
+    for (size_t s = 0; s < num_shards; s++) RunShardTask(st, s);
   } else {
-    // Producers fan out chunk-major so early chunks finish first; the
-    // calling thread is the single consumer, folding each chunk into
-    // the output while later chunks are still searching.
+    // Shards search the whole batch in parallel on the pool, one task
+    // each, as each GPU would search its own sub-graph (§V-F).
     ThreadPool& pool = GlobalThreadPool();
-    for (size_t c = 0; c < num_chunks; c++) {
-      for (size_t s = 0; s < num_shards; s++) {
-        pool.Submit([st, c, s] { RunShardTask(st, c, s); });
-      }
-    }
-    for (size_t m = 0; m < num_chunks; m++) {
-      std::optional<size_t> c = cancelable
-                                    ? PopCancelable(st.get(), caller_token)
-                                    : st->ready.Pop();
-      if (!c.has_value()) {
-        // Deadline passed and the grace drain went dry: abandon the
-        // stragglers. They hold the shared state (and observe the
-        // cancelled derived token at their next boundary), so they
-        // finish harmlessly after we return. Unpopped chunks keep
-        // their (kInvalidShardEntry, +inf) padding — well-formed.
-        st->token.Cancel();
-        out.complete = false;
-        break;
-      }
-      merge_chunk(*c);
+    for (size_t s = 0; s < num_shards; s++) {
+      pool.Submit([st, s] { RunShardTask(st, s); });
     }
   }
+  for (size_t m = 0; m < num_shards; m++) {
+    std::optional<size_t> s = detachable
+                                  ? PopCancelable(st.get(), caller_token)
+                                  : st->ready.Pop();
+    if (!s.has_value()) {
+      // Deadline passed and the grace drain went dry: abandon the
+      // stragglers. They hold the shared state (and observe the
+      // cancelled derived token at their next boundary), so they
+      // finish harmlessly after we return.
+      st->token.Cancel();
+      out.complete = false;
+      break;
+    }
+    popped[*s] = 1;
+  }
+
+  // One merge over the whole batch, of the shards that finished: a shed
+  // or abandoned shard leaves every row merged from the others. Errors
+  // surface in shard order. Result metadata aggregates over the
+  // finished shards: counters sum (additive work), host_threads takes
+  // the widest shard, and the modeled cost/launch come from the slowest
+  // shard — the one the parallel execution actually waits for.
+  std::vector<std::pair<size_t, const SearchResult*>> finished;
+  finished.reserve(num_shards);
+  const SearchResult* slowest = nullptr;
+  out.host_threads = 0;
+  for (size_t s = 0; s < num_shards; s++) {
+    if (popped[s] == 0) continue;  // abandoned: complete is false already
+    const Result<SearchResult>& r = *st->results[s];
+    if (!r.ok()) {
+      if (!IsCancelMarker(r.status())) return r.status();
+      out.complete = false;  // this shard shed its scan
+      continue;
+    }
+    if (slowest == nullptr || r->modeled_seconds > slowest->modeled_seconds) {
+      slowest = &r.value();
+    }
+    out.counters.Add(r->counters);
+    out.host_threads = std::max(out.host_threads, r->host_threads);
+    // A shard truncated by the token makes the merged batch incomplete;
+    // rows-examined sums over shards (each scanned its own sub-dataset
+    // for the query).
+    if (!r->complete) out.complete = false;
+    for (size_t q = 0; q < batch && q < r->rows_examined.size(); q++) {
+      out.rows_examined[q] += r->rows_examined[q];
+    }
+    finished.emplace_back(s, &r.value());
+  }
+  MergeRows(finished, maps, batch, k, &out.neighbors);
   out.host_seconds = host.Seconds();
   out.host_qps = out.host_seconds > 0
                      ? static_cast<double>(batch) / out.host_seconds
                      : 0.0;
 
-  // Errors surface in deterministic (chunk, shard) order, over the
-  // chunks whose results we own (all of them unless abandoned).
-  for (size_t c = 0; c < num_chunks; c++) {
-    if (chunk_popped[c] == 0) continue;
-    for (size_t s = 0; s < num_shards; s++) {
-      const Result<SearchResult>& r = *st->results[c * num_shards + s];
-      if (!r.ok() && !IsCancelMarker(r.status())) return r.status();
-    }
-  }
-
-  // Metadata aggregation, in fixed (shard, chunk) order so the result
-  // is scheduling-independent: counters sum over everything and
-  // host_threads takes the widest task. Each shard's modeled time
-  // re-prices its summed chunk counters at the full-batch launch shape:
-  // the shard's device streams its chunks back-to-back (asynchronous
-  // launches overlap), so the batch fills the device exactly as an
-  // unchunked run would and the serial per-query iteration floor is
-  // paid once — only the per-launch overhead multiplies with the chunk
-  // count (already summed into counters.kernel_launches). With a single
-  // chunk this reduces to the chunk's own estimate. The slowest shard
-  // contributes the reported breakdown. Under cancellation only popped
-  // chunks' finished results contribute (partial work is still real
-  // work, but unfinished slots are unreadable).
   double slowest_seconds = 0.0;
-  bool have_meta = false;
-  out.host_threads = 0;
-  for (size_t s = 0; s < num_shards; s++) {
-    KernelCounters shard_counters;
-    const SearchResult* first_done = nullptr;
-    for (size_t c = 0; c < num_chunks; c++) {
-      if (chunk_popped[c] == 0) continue;
-      const Result<SearchResult>& r = *st->results[c * num_shards + s];
-      if (!r.ok()) continue;  // cancel marker (errors returned above)
-      shard_counters.Add(r->counters);
-      out.host_threads = std::max(out.host_threads, r->host_threads);
-      if (first_done == nullptr) first_done = &r.value();
-    }
-    if (first_done == nullptr) continue;
-    out.counters.Add(shard_counters);
-    KernelLaunchConfig launch = first_done->launch;
-    launch.batch = batch;  // the shape every chunk shares, at full fill
-    const CostBreakdown shard_cost =
-        EstimateKernelTime(device, launch, shard_counters);
-    if (!have_meta || shard_cost.total > slowest_seconds) {
-      have_meta = true;
-      slowest_seconds = shard_cost.total;
-      out.cost = shard_cost;
-      out.launch = launch;
-      out.algo_used = first_done->algo_used;
-      out.team_size_used = first_done->team_size_used;
-    }
+  if (slowest != nullptr) {
+    slowest_seconds = slowest->modeled_seconds;
+    out.cost = slowest->cost;
+    out.launch = slowest->launch;
+    out.algo_used = slowest->algo_used;
+    out.team_size_used = slowest->team_size_used;
   }
-
-  // Overlap model: per-chunk merges hide under still-running scans, so
-  // a batch pays the slowest shard's summed chunk time plus only the
-  // merge tail of the final chunk — not the full-batch merge the
-  // barrier path serializes after its global wait.
-  const size_t last_rows = batch - (num_chunks - 1) * chunk_rows;
+  // Shards execute on independent devices in parallel; the batch pays
+  // the slowest shard plus the host merge of the whole batch, which
+  // starts once every shard is in.
   out.modeled_seconds =
       slowest_seconds + kMergeOverheadPerQueryShard *
-                            static_cast<double>(last_rows * num_shards);
+                            static_cast<double>(batch * num_shards);
   out.modeled_qps = out.modeled_seconds > 0
                         ? static_cast<double>(batch) / out.modeled_seconds
                         : 0.0;

@@ -51,8 +51,7 @@ struct ShardMergeList {
 /// valid candidates. Exactly equivalent to sorting the concatenation of
 /// the valid candidates and taking the first k (the property
 /// tests/property_test.cc pins against a std::sort reference), and
-/// independent of list arrival order, which is what lets the streaming
-/// pipeline merge chunks as they finish.
+/// independent of list order.
 void MergeShardTopK(const ShardMergeList* lists, size_t num_lists, size_t k,
                     uint32_t* out_ids, float* out_distances);
 
@@ -119,60 +118,36 @@ class ShardedCagraIndex : public Searcher {
   size_t live_size() const;
   size_t tombstone_count() const;
 
-  /// Streaming sharded search: the batch is split into chunks of
-  /// params.shard_chunk_queries rows (0 = auto), every (chunk, shard)
-  /// pair searches as an independent task on the global pool, and a
-  /// per-chunk completion latch hands finished chunks through a bounded
-  /// queue to the calling thread, which merges them into the output
-  /// while later chunks are still searching — the chunk-wise overlap of
-  /// per-shard execution with the host-side gather/merge from the
-  /// paper's multi-GPU evaluation (§V-F). Results are byte-identical to
-  /// SearchBarrier at every thread count and chunk size; the modeled
-  /// time charges the slowest shard plus only the merge tail of the
-  /// final chunk (the rest of the merge hides under the scans).
+  /// Sharded search (§V-F): every shard searches the whole batch as one
+  /// task on the global pool, as each GPU would search its own
+  /// sub-graph, and once every shard is in the calling thread merges
+  /// the per-shard top-k lists into the global top-k, translating
+  /// shard-local ids back to global ids. The modeled time charges the
+  /// slowest shard plus the host merge of the whole batch. The storage
+  /// mode comes from params.precision (the Searcher front door).
   ///
-  /// params.num_threads != 0 is a total host budget, so the pipeline
-  /// runs its tasks inline in (chunk, shard) order and each per-chunk
-  /// search uses the full width. The storage mode comes from
-  /// params.precision (the Searcher front door).
+  /// params.num_threads != 0 is a total host budget, so the shards run
+  /// inline one after another and each per-shard search uses the full
+  /// width. Results are byte-identical at every thread count.
   ///
-  /// Deadline/cancellation (params.cancel): every (chunk, shard) task
-  /// checks the token before scanning and the per-chunk searches check
-  /// it at iteration boundaries, so an expired token drains the
-  /// pipeline cooperatively. A straggler that cannot observe the token
-  /// (a stalled shard) is *abandoned*: after a short grace the call
-  /// returns the best-effort merge of every chunk that did finish,
-  /// marked SearchResult::complete == false, with untouched rows left
-  /// as padding. Abandoned tasks run to completion against detached
-  /// heap-owned state (they never reference the caller's stack, token
-  /// included) — the only caller obligation is that the index itself
-  /// outlive them, which cancellation bounds to roughly the stall
-  /// plus one search iteration.
+  /// Deadline/cancellation (params.cancel): every shard task checks the
+  /// token before scanning and the per-shard searches check it at
+  /// iteration boundaries, so an expired token drains the search
+  /// cooperatively. A straggler that cannot observe the token (a
+  /// stalled shard) is *abandoned*: after a short grace the call
+  /// returns the merge of the shards that did finish — every row
+  /// merged from them — marked SearchResult::complete == false.
+  /// Abandoned tasks run to completion against detached heap-owned
+  /// state that owns its own copies of the shards (pinning one version
+  /// per shard for the whole request), so they never reference the
+  /// caller's stack or the index, which may be destroyed as soon as the
+  /// call returns.
   [[nodiscard]] Result<SearchResult> Search(
       const Matrix<float>& queries,
       const SearchParams& params) const override;
   [[nodiscard]] Result<SearchResult> Search(const Matrix<float>& queries,
                                             const SearchParams& params,
                                             const DeviceSpec& device) const;
-
-  /// Delegating overload of the historical positional-Precision form:
-  /// `precision` overrides params.precision.
-  [[nodiscard]] Result<SearchResult> Search(
-      const Matrix<float>& queries, const SearchParams& params,
-      Precision precision, const DeviceSpec& device = DeviceSpec{}) const;
-
-  /// Scheduling-free reference: every shard searches the whole batch to
-  /// completion (in parallel across shards), then the per-shard lists
-  /// merge behind the global barrier. Kept as the determinism oracle
-  /// for the streaming path and the baseline of the barrier-vs-
-  /// streaming bench; the modeled time pays the full merge as a serial
-  /// tail after the slowest shard.
-  [[nodiscard]] Result<SearchResult> SearchBarrier(
-      const Matrix<float>& queries, const SearchParams& params,
-      const DeviceSpec& device = DeviceSpec{}) const;
-  [[nodiscard]] Result<SearchResult> SearchBarrier(
-      const Matrix<float>& queries, const SearchParams& params,
-      Precision precision, const DeviceSpec& device = DeviceSpec{}) const;
 
  private:
   /// One shard's local-external-id -> global-id translation table,
@@ -188,14 +163,13 @@ class ShardedCagraIndex : public Searcher {
   /// rows as padding (a transient freshness gap, not a fault).
   std::vector<IdMapPtr> PinIdMaps() const;
 
-  /// Merges all queries in [begin, begin + rows) from the per-shard
-  /// results `shard_results` — (shard index, result) pairs so a
-  /// cancelled search can merge the subset of shards that finished —
-  /// into `out` at global rows (query q at local row q - begin),
+  /// Merges the `batch` queries of the per-shard results
+  /// `shard_results` — (shard index, result) pairs so a cancelled
+  /// search can merge the subset of shards that finished — into `out`,
   /// translating shard-local ids through the pinned `maps`.
   void MergeRows(
       const std::vector<std::pair<size_t, const SearchResult*>>& shard_results,
-      const std::vector<IdMapPtr>& maps, size_t begin, size_t rows, size_t k,
+      const std::vector<IdMapPtr>& maps, size_t batch, size_t k,
       NeighborList* out) const;
 
   std::vector<CagraIndex> shards_;

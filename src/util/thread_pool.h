@@ -57,9 +57,9 @@ class ThreadPool {
 
   /// Enqueues a fire-and-forget task for the workers; returns
   /// immediately. Unlike ParallelFor the caller does not participate and
-  /// nothing waits for completion — the producer side of the streaming
-  /// sharded pipeline uses this and tracks completion itself (per-chunk
-  /// latch + MpscBoundedQueue). Tasks may themselves call ParallelFor
+  /// nothing waits for completion — sharded search submits one task per
+  /// shard this way and tracks completion itself (MpscBoundedQueue), so
+  /// it can abandon a stalled shard. Tasks may themselves call ParallelFor
   /// (the re-entrant caller-drains-its-own-batch rule still applies),
   /// but a submitted task must never block on another submitted task
   /// that could be queued behind it.

@@ -184,8 +184,9 @@ TEST(CagraIndexTest, SaveLoadCarriesPqCodebookAndRotation) {
   SearchParams sp;
   sp.k = 5;
   sp.itopk = 32;
-  auto r1 = Search(*index, data.queries, sp, Precision::kPq);
-  auto r2 = Search(*loaded, data.queries, sp, Precision::kPq);
+  sp.precision = Precision::kPq;
+  auto r1 = Search(*index, data.queries, sp);
+  auto r2 = Search(*loaded, data.queries, sp);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->neighbors.ids, r2->neighbors.ids);

@@ -1,10 +1,10 @@
 // Deadline + cancellation semantics across the search stack: the
 // CancelToken/CancelCheck primitives, the two new status codes, the
 // partial-result contract of the graph search, the bruteforce scans,
-// and the streaming sharded pipeline. The invariant under test
-// everywhere: cancellation degrades a search to a *well-formed*
-// partial (sorted valid prefix, 0xffffffff/+inf padding, no duplicate
-// ids, complete == false) — never a crash, a hang, or a malformed row.
+// and sharded search. The invariant under test everywhere:
+// cancellation degrades a search to a *well-formed* partial (sorted
+// valid prefix, 0xffffffff/+inf padding, no duplicate ids,
+// complete == false) — never a crash, a hang, or a malformed row.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -319,7 +319,7 @@ TEST_F(SearchCancelTest, PqBruteforceExpiredTokenYieldsWellFormedPartial) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming sharded search with a token.
+// Sharded search with a token.
 // ---------------------------------------------------------------------------
 
 class ShardedCancelTest : public ::testing::Test {
@@ -354,9 +354,8 @@ class ShardedCancelTest : public ::testing::Test {
 SyntheticData* ShardedCancelTest::data_ = nullptr;
 ShardedCagraIndex* ShardedCancelTest::index_ = nullptr;
 
-TEST_F(ShardedCancelTest, UnexpiredTokenIdenticalToTokenFreeStreaming) {
+TEST_F(ShardedCancelTest, UnexpiredTokenIdenticalToTokenFreeSearch) {
   SearchParams plain = BaseParams();
-  plain.shard_chunk_queries = 7;
   auto ref = index_->Search(data_->queries, plain);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
@@ -371,13 +370,12 @@ TEST_F(ShardedCancelTest, UnexpiredTokenIdenticalToTokenFreeStreaming) {
 }
 
 TEST_F(ShardedCancelTest, ExpiredDeadlineReturnsWellFormedPartialFast) {
-  // A deadline already in the past: every (chunk, shard) task sheds at
-  // its pre-scan check, the pipeline drains, and the call returns a
+  // A deadline already in the past: every shard task sheds at its
+  // pre-scan check, the search drains, and the call returns a
   // well-formed (possibly fully padded) partial promptly — the
   // fixed-cost path of the 2x-deadline acceptance bound.
   CancelToken expired(CancelToken::Clock::now() - milliseconds(5));
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   sp.cancel = &expired;
   const auto t0 = std::chrono::steady_clock::now();
   auto r = index_->Search(data_->queries, sp);
@@ -397,7 +395,6 @@ TEST_F(ShardedCancelTest, ManualCancelMidFlightYieldsPartial) {
   for (int rep = 0; rep < 5; rep++) {
     CancelToken token;
     SearchParams sp = BaseParams();
-    sp.shard_chunk_queries = 1;  // maximize cancellation boundaries
     sp.cancel = &token;
     std::thread canceller([&token] { token.Cancel(); });
     auto r = index_->Search(data_->queries, sp);
@@ -408,13 +405,12 @@ TEST_F(ShardedCancelTest, ManualCancelMidFlightYieldsPartial) {
 }
 
 TEST_F(ShardedCancelTest, InlineModeHonorsExpiredToken) {
-  // num_threads != 0 runs the pipeline inline (no pool); the token
-  // must cut that path too.
+  // num_threads != 0 runs the shards inline (no pool); the token must
+  // cut that path too.
   CancelToken expired;
   expired.Cancel();
   SearchParams sp = BaseParams();
   sp.num_threads = 2;
-  sp.shard_chunk_queries = 7;
   sp.cancel = &expired;
   auto r = index_->Search(data_->queries, sp);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -422,12 +418,12 @@ TEST_F(ShardedCancelTest, InlineModeHonorsExpiredToken) {
   ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
 }
 
-TEST_F(ShardedCancelTest, BarrierPathPropagatesCompletionAndRows) {
+TEST_F(ShardedCancelTest, CancelledSearchPropagatesCompletionAndRows) {
   CancelToken expired;
   expired.Cancel();
   SearchParams sp = BaseParams();
   sp.cancel = &expired;
-  auto r = index_->SearchBarrier(data_->queries, sp);
+  auto r = index_->Search(data_->queries, sp);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->complete);
   ASSERT_EQ(r->rows_examined.size(), data_->queries.rows());

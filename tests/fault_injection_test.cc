@@ -23,6 +23,7 @@
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "serving/serving.h"
+#include "sharded_reference.h"
 #include "util/cancel.h"
 #include "util/fault_injection.h"
 
@@ -195,35 +196,33 @@ SyntheticData* FaultMatrixTest::data_ = nullptr;
 ShardedCagraIndex* FaultMatrixTest::sharded_ = nullptr;
 
 TEST_F(FaultMatrixTest, DisarmedPointsChangeNothing) {
-  // Fault points compiled in but nothing armed: streaming must still be
-  // EXPECT_EQ-identical to the barrier reference (the acceptance bit-
-  // identity bound holds in the fault-injection build too).
+  // Fault points compiled in but nothing armed: sharded search must
+  // still be EXPECT_EQ-identical to the serial per-shard reference (the
+  // bit-identity bound holds in the fault-injection build too).
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
-  auto barrier = sharded_->SearchBarrier(data_->queries, sp);
-  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  auto ref = ShardedReference(*sharded_, data_->queries, sp);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   for (int rep = 0; rep < 5; rep++) {
-    auto streamed = sharded_->Search(data_->queries, sp);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_TRUE(streamed->complete);
-    EXPECT_EQ(streamed->neighbors.ids, barrier->neighbors.ids) << rep;
-    EXPECT_EQ(streamed->neighbors.distances, barrier->neighbors.distances);
+    auto got = sharded_->Search(data_->queries, sp);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->complete);
+    EXPECT_EQ(got->neighbors.ids, ref->ids) << rep;
+    EXPECT_EQ(got->neighbors.distances, ref->distances);
   }
 }
 
 TEST_F(FaultMatrixTest, StalledShardWithDeadlineReturnsPartialInTime) {
   // The headline acceptance scenario: one shard-scan task stalls 100ms,
-  // the caller holds a 10ms deadline. The pipeline must abandon the
+  // the caller holds a 10ms deadline. The search must abandon the
   // straggler and return a well-formed partial at roughly the deadline
   // — never wait out the stall.
   FaultSpec stall;
   stall.delay = milliseconds(100);
-  stall.max_fires = 1;  // exactly one (chunk, shard) task stalls
+  stall.max_fires = 1;  // exactly one shard task stalls
   FaultController::Instance().Arm("shard_scan_stall", stall);
 
   CancelToken token = CancelToken::WithTimeout(milliseconds(10));
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   sp.cancel = &token;
   const auto t0 = std::chrono::steady_clock::now();
   auto r = sharded_->Search(data_->queries, sp);
@@ -235,7 +234,32 @@ TEST_F(FaultMatrixTest, StalledShardWithDeadlineReturnsPartialInTime) {
   // ~2x the deadline in the model (expiry at 10ms + 2ms drain grace);
   // the hard requirement is returning well before the 100ms stall.
   EXPECT_LT(elapsed, milliseconds(60))
-      << "pipeline waited out the stalled shard instead of abandoning it";
+      << "search waited out the stalled shard instead of abandoning it";
+}
+
+TEST_F(FaultMatrixTest, AbandonedShardOutlivesDestroyedIndex) {
+  // The caller may destroy the index as soon as a deadline-cut search
+  // returns, while the abandoned shard task is still stalled. Once the
+  // stall ends, that task runs the scan it chose on entry: it must read
+  // the search's own copy of the shard, never the destroyed index (ASan
+  // reports a heap-use-after-free otherwise).
+  auto* index = new ShardedCagraIndex(*sharded_);
+  FaultSpec stall;
+  stall.delay = milliseconds(100);
+  stall.max_fires = 1;
+  FaultController::Instance().Arm("shard_scan_stall", stall);
+
+  CancelToken token = CancelToken::WithTimeout(milliseconds(10));
+  SearchParams sp = BaseParams();
+  sp.cancel = &token;
+  auto r = index->Search(data_->queries, sp);
+  delete index;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->complete);
+  ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
+  // Let the straggler wake up and finish against the detached state.
+  std::this_thread::sleep_for(milliseconds(150));
+  EXPECT_EQ(FaultController::Instance().fires("shard_scan_stall"), 1u);
 }
 
 TEST_F(FaultMatrixTest, StallWithoutDeadlineWaitsAndStaysIdentical) {
@@ -246,7 +270,6 @@ TEST_F(FaultMatrixTest, StallWithoutDeadlineWaitsAndStaysIdentical) {
   stall.max_fires = 2;
   FaultController::Instance().Arm("shard_scan_stall", stall);
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   auto slow = sharded_->Search(data_->queries, sp);
   FaultController::Instance().Reset();
   auto ref = sharded_->Search(data_->queries, sp);
@@ -263,7 +286,6 @@ TEST_F(FaultMatrixTest, QueuePushStallOnlyDelaysPublication) {
   stall.max_fires = 3;
   FaultController::Instance().Arm("queue_push_stall", stall);
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   auto slow = sharded_->Search(data_->queries, sp);
   FaultController::Instance().Reset();
   auto ref = sharded_->Search(data_->queries, sp);
@@ -279,12 +301,11 @@ TEST_F(FaultMatrixTest, ShardScanFailureSurfacesTheInjectedStatus) {
   fail.max_fires = 1;
   FaultController::Instance().Arm("shard_scan_fail", fail);
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   auto r = sharded_->Search(data_->queries, sp);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   EXPECT_EQ(r.status().message(), "injected shard failure");
-  // The pipeline recovers completely once the fault clears.
+  // The search recovers completely once the fault clears.
   FaultController::Instance().Reset();
   auto again = sharded_->Search(data_->queries, sp);
   ASSERT_TRUE(again.ok()) << again.status().ToString();

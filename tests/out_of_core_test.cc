@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/index.h"
@@ -29,6 +31,13 @@
 
 namespace cagra {
 namespace {
+
+/// A scratch file path private to this process: the suite also runs as
+/// out_of_core_test_scalar, and parallel ctest runs must not clobber
+/// each other's index files.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+}
 
 class OutOfCoreTest : public ::testing::Test {
  protected:
@@ -48,7 +57,7 @@ class OutOfCoreTest : public ::testing::Test {
     pq.sample_size = 256;
     index_->EnablePq(pq);
     ASSERT_TRUE(index_->HasPq());
-    path_ = new std::string(::testing::TempDir() + "/ooc_index.cagra");
+    path_ = new std::string(TempPath("ooc_index.cagra"));
     ASSERT_TRUE(index_->Save(*path_).ok());
   }
   static void TearDownTestSuite() {
@@ -121,7 +130,7 @@ TEST_F(OutOfCoreTest, EnableOutOfCoreMatchesResidentAcrossPqVariants) {
       pq.kmeans_iterations = 3;
       pq.sample_size = 256;
       resident.EnablePq(pq);
-      save_path = ::testing::TempDir() + "/ooc_plainpq.cagra";
+      save_path = TempPath("ooc_plainpq.cagra");
       ASSERT_TRUE(resident.Save(save_path).ok());
     }
     CagraIndex mapped = resident;
@@ -263,13 +272,13 @@ TEST_F(OutOfCoreTest, EnableOutOfCoreValidatesTheFile) {
   bp.graph_degree = 4;
   auto small = CagraIndex::Build(other.base, bp);
   ASSERT_TRUE(small.ok());
-  const std::string wrong = ::testing::TempDir() + "/ooc_wrong.cagra";
+  const std::string wrong = TempPath("ooc_wrong.cagra");
   ASSERT_TRUE(small->Save(wrong).ok());
   EXPECT_EQ(copy.EnableOutOfCore(wrong).code(),
             StatusCode::kInvalidArgument);
   std::remove(wrong.c_str());
   // Not an index file at all.
-  const std::string junk = ::testing::TempDir() + "/ooc_junk.bin";
+  const std::string junk = TempPath("ooc_junk.bin");
   std::FILE* f = std::fopen(junk.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char noise[64] = {0x13};
@@ -290,7 +299,7 @@ TEST_F(OutOfCoreTest, SaveRefusesTheBackingFileButWorksElsewhere) {
   EXPECT_EQ(mapped->Save(*path_).code(), StatusCode::kInvalidArgument);
   // Saving elsewhere round-trips the identical index (the dataset is
   // streamed back out of the mapping).
-  const std::string copy_path = ::testing::TempDir() + "/ooc_resave.cagra";
+  const std::string copy_path = TempPath("ooc_resave.cagra");
   ASSERT_TRUE(mapped->Save(copy_path).ok());
   auto reloaded = CagraIndex::Load(copy_path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
@@ -302,7 +311,7 @@ TEST_F(OutOfCoreTest, SaveRefusesTheBackingFileButWorksElsewhere) {
 TEST_F(OutOfCoreTest, TruncatedMappedFileFailsWithCleanIoError) {
   // Cut the file inside the dataset section: the out-of-core open must
   // refuse before any row is dereferenced (SIGBUS territory).
-  const std::string cut = ::testing::TempDir() + "/ooc_cut.cagra";
+  const std::string cut = TempPath("ooc_cut.cagra");
   std::FILE* in = std::fopen(path_->c_str(), "rb");
   ASSERT_NE(in, nullptr);
   std::vector<unsigned char> bytes(40 + index_->size() * index_->dim() * 2);

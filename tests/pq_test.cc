@@ -412,8 +412,9 @@ TEST(OpqTest, SearchRecallAtLeastPlainPq) {
   sp.k = 10;
   sp.itopk = 64;
   sp.algo = SearchAlgo::kSingleCta;
-  auto pq = Search(*index_pq, data.queries, sp, Precision::kPq);
-  auto opq = Search(index_opq, data.queries, sp, Precision::kPq);
+  sp.precision = Precision::kPq;
+  auto pq = Search(*index_pq, data.queries, sp);
+  auto opq = Search(index_opq, data.queries, sp);
   ASSERT_TRUE(pq.ok());
   ASSERT_TRUE(opq.ok());
   const double recall_pq = ComputeRecall(pq->neighbors, gt);
@@ -600,7 +601,8 @@ TEST(PqSearchTest, RequiresEnable) {
   ASSERT_TRUE(index.ok());
   SearchParams sp;
   sp.k = 5;
-  auto r = Search(*index, data.queries, sp, Precision::kPq);
+  sp.precision = Precision::kPq;
+  auto r = Search(*index, data.queries, sp);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -621,8 +623,9 @@ TEST(PqSearchTest, RecallFloorAndCompressedTraffic) {
   sp.k = 10;
   sp.itopk = 64;
   sp.algo = SearchAlgo::kSingleCta;
-  auto fp32 = Search(*index, data.queries, sp, Precision::kFp32);
-  auto pq = Search(*index, data.queries, sp, Precision::kPq);
+  auto fp32 = Search(*index, data.queries, sp);
+  sp.precision = Precision::kPq;
+  auto pq = Search(*index, data.queries, sp);
   ASSERT_TRUE(fp32.ok());
   ASSERT_TRUE(pq.ok());
   // Absolute floor (measured ~0.86 on this synthetic setup): ADC
@@ -650,10 +653,11 @@ TEST(PqSearchTest, MultiCtaRecallMatchesSingleCta) {
   sp.itopk = 64;
   sp.algo = SearchAlgo::kMultiCta;
   sp.cta_per_query = 2;
-  auto multi = Search(*index, data.queries, sp, Precision::kPq);
+  sp.precision = Precision::kPq;
+  auto multi = Search(*index, data.queries, sp);
   ASSERT_TRUE(multi.ok());
   sp.algo = SearchAlgo::kSingleCta;
-  auto single = Search(*index, data.queries, sp, Precision::kPq);
+  auto single = Search(*index, data.queries, sp);
   ASSERT_TRUE(single.ok());
   EXPECT_NEAR(ComputeRecall(multi->neighbors, gt),
               ComputeRecall(single->neighbors, gt), 0.1);

@@ -8,6 +8,7 @@
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "knn/bruteforce.h"
+#include "sharded_reference.h"
 
 namespace cagra {
 namespace {
@@ -141,8 +142,8 @@ TEST_F(ShardedTest, MetadataAggregatesOverShards) {
   // shard 0 alone. They must reflect the aggregate run: counters sum,
   // host_threads is the widest shard, and the modeled cost is the
   // slowest shard's breakdown (what the parallel execution waits for).
-  // A single streaming chunk makes the per-shard launches identical to
-  // standalone full-batch runs, so the aggregation pins exactly.
+  // Every shard searches the whole batch, so its launch is identical to
+  // a standalone full-batch run and the aggregation pins exactly.
   BuildParams bp;
   bp.graph_degree = 16;
   auto index = ShardedCagraIndex::Build(data_->base, bp, 4);
@@ -150,11 +151,12 @@ TEST_F(ShardedTest, MetadataAggregatesOverShards) {
   SearchParams sp;
   sp.k = 10;
   sp.itopk = 64;
-  sp.shard_chunk_queries = data_->queries.rows();  // one chunk
   auto sharded = index->Search(data_->queries, sp);
-  auto barrier = index->SearchBarrier(data_->queries, sp);
   ASSERT_TRUE(sharded.ok());
-  ASSERT_TRUE(barrier.ok());
+  auto ref = ShardedReference(*index, data_->queries, sp);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(sharded->neighbors.ids, ref->ids);
+  EXPECT_EQ(sharded->neighbors.distances, ref->distances);
 
   // Re-run each shard individually (deterministic, identical inputs).
   double max_cost = 0.0;
@@ -167,45 +169,12 @@ TEST_F(ShardedTest, MetadataAggregatesOverShards) {
     max_threads = std::max(max_threads, one->host_threads);
     sum_distances += one->counters.distance_computations;
   }
-  for (const SearchResult* r : {&*sharded, &*barrier}) {
-    EXPECT_DOUBLE_EQ(r->cost.total, max_cost);
-    EXPECT_EQ(r->host_threads, max_threads);
-    EXPECT_EQ(r->counters.distance_computations, sum_distances);
-    // The launch config must belong to the slowest shard (whose cost
-    // was reported), i.e. describe the same batch every shard ran.
-    EXPECT_EQ(r->launch.batch, data_->queries.rows());
-  }
-}
-
-TEST_F(ShardedTest, CountersSurviveChunking) {
-  // The per-query counters are chunking-invariant, so any chunk size
-  // must report exactly the sums the barrier reference reports.
-  BuildParams bp;
-  bp.graph_degree = 16;
-  auto index = ShardedCagraIndex::Build(data_->base, bp, 4);
-  ASSERT_TRUE(index.ok());
-  SearchParams sp;
-  sp.k = 10;
-  sp.itopk = 64;
-  auto barrier = index->SearchBarrier(data_->queries, sp);
-  ASSERT_TRUE(barrier.ok());
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{0}}) {
-    sp.shard_chunk_queries = chunk;
-    auto streamed = index->Search(data_->queries, sp);
-    ASSERT_TRUE(streamed.ok());
-    EXPECT_EQ(streamed->counters.distance_computations,
-              barrier->counters.distance_computations)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed->counters.queries, barrier->counters.queries)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed->counters.iterations, barrier->counters.iterations)
-        << "chunk=" << chunk;
-    // Each chunk is its own launch per shard: launches scale with the
-    // chunk count instead of collapsing to one per shard.
-    EXPECT_GE(streamed->counters.kernel_launches,
-              barrier->counters.kernel_launches);
-    EXPECT_GT(streamed->modeled_seconds, 0.0);
-  }
+  EXPECT_DOUBLE_EQ(sharded->cost.total, max_cost);
+  EXPECT_EQ(sharded->host_threads, max_threads);
+  EXPECT_EQ(sharded->counters.distance_computations, sum_distances);
+  // The launch config must belong to the slowest shard (whose cost was
+  // reported), i.e. describe the same batch every shard ran.
+  EXPECT_EQ(sharded->launch.batch, data_->queries.rows());
 }
 
 TEST_F(ShardedTest, ParallelBuildMatchesSequentialReference) {
@@ -322,10 +291,6 @@ TEST_F(ShardedTest, ModeledTimeIsMaxShardNotSum) {
   SearchParams sp;
   sp.k = 10;
   sp.itopk = 64;
-  // One chunk: per-shard launches match standalone full-batch runs, so
-  // the modeled comparison is exact (chunked runs add per-launch
-  // overhead to the model, which is correct but not what this pins).
-  sp.shard_chunk_queries = data_->queries.rows();
   auto sharded = index->Search(data_->queries, sp);
   ASSERT_TRUE(sharded.ok());
   // One shard alone, searched as a plain index, should cost roughly the
