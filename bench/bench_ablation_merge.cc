@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §4.6): the forward/reverse interleave ratio of the
+// Ablation: the forward/reverse interleave ratio of the
 // final merge. The paper fixes d/2 + d/2 (§III-B2); this sweep shows why
 // that split is a good default.
 #include <cstdio>

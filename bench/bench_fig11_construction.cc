@@ -4,7 +4,7 @@
 //
 // All builds run on the host; on real hardware the GPU methods (CAGRA,
 // GGNN, GANNS) would shrink further, so the CAGRA-vs-CPU gap shown here
-// is a *lower bound* on the paper's (DESIGN.md section 1).
+// is a *lower bound* on the paper's (README "Measured vs modeled time").
 #include <cstdio>
 
 #include "baselines/ganns/ganns.h"

@@ -2,7 +2,7 @@
 // implementation (NSSG's random-start greedy search, on the CPU) runs
 // over three graphs: the NSSG graph, a degree-matched CAGRA graph, and a
 // kNN graph. QPS is measured single-thread CPU time scaled to the
-// paper's 64-core EPYC (DESIGN.md section 1).
+// paper's 64-core EPYC (README "Measured vs modeled time").
 #include <cstdio>
 
 #include "baselines/nssg/nssg.h"

@@ -2,8 +2,8 @@
 // FP16), GGNN, GANNS on the modeled A100, and HNSW / NSSG on the modeled
 // 64-core EPYC. GPU QPS comes from the device cost model over real
 // execution counters; CPU QPS is measured single-thread time scaled by
-// the parallel-efficiency model (DESIGN.md section 1). Recall is real
-// everywhere.
+// the parallel-efficiency model (README "Measured vs modeled time").
+// Recall is real everywhere.
 #include <cstdio>
 
 #include "baselines/ganns/ganns.h"

@@ -1,7 +1,7 @@
 // Reproduces Fig. 5: QPS-recall curves of the CAGRA search over graphs
 // optimized with rank-based vs distance-based reordering vs the raw kNN
 // graph. Recall is real; QPS is the modeled A100 throughput at the
-// paper's 10k batch (DESIGN.md section 1).
+// paper's 10k batch (README "Measured vs modeled time").
 #include <cstdio>
 
 #include "bench/common.h"

@@ -1,7 +1,6 @@
 // Component microbenchmarks (google-benchmark): the §IV-B building
-// blocks — bitonic vs radix sorting around the 512-entry crossover,
-// visited-set probing, distance kernels fp32 vs fp16, and NN-descent vs
-// exact kNN-graph construction.
+// blocks — visited-set probing, distance kernels fp32 vs fp16, and
+// NN-descent vs exact kNN-graph construction.
 #include <benchmark/benchmark.h>
 
 #include "dataset/profile.h"
@@ -9,41 +8,12 @@
 #include "distance/distance.h"
 #include "knn/bruteforce.h"
 #include "knn/nn_descent.h"
-#include "util/bitonic.h"
-#include "util/radix_sort.h"
 #include "util/rng.h"
 #include "util/visited_set.h"
 
 namespace {
 
 using namespace cagra;
-
-std::vector<KeyValue> RandomKv(size_t n, uint64_t seed) {
-  Pcg32 rng(seed);
-  std::vector<KeyValue> data(n);
-  for (auto& kv : data) kv = {rng.NextFloat(), rng.Next()};
-  return data;
-}
-
-void BM_BitonicSort(benchmark::State& state) {
-  const size_t n = state.range(0);
-  for (auto _ : state) {
-    auto data = RandomKv(n, 1);
-    benchmark::DoNotOptimize(BitonicSorter::Sort(&data));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BitonicSort)->Arg(64)->Arg(256)->Arg(512)->Arg(1024)->Arg(4096);
-
-void BM_RadixSort(benchmark::State& state) {
-  const size_t n = state.range(0);
-  for (auto _ : state) {
-    auto data = RandomKv(n, 1);
-    benchmark::DoNotOptimize(RadixSorter::Sort(&data));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RadixSort)->Arg(64)->Arg(256)->Arg(512)->Arg(1024)->Arg(4096);
 
 void BM_VisitedSetInsert(benchmark::State& state) {
   Pcg32 rng(7);

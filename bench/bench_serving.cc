@@ -260,8 +260,9 @@ int main(int argc, char** argv) {
   const LoadPointSample sat_micro = RunLoadPoint(
       searcher, micro, wb.data.queries, k, 0.0, saturate_requests, 2);
   // The headline speedup is on the modeled A100 timeline: the host runs
-  // every query functionally one row at a time (DESIGN.md §1), so wall
-  // clock cannot show the batch effect — the device cost model, which
+  // every query functionally one row at a time (README "Measured vs
+  // modeled time"), so wall clock cannot show the batch effect — the
+  // device cost model, which
   // amortizes the serial per-query latency floor and the launch overhead
   // across every row the scheduler coalesced, is the throughput a real
   // deployment buys with this batch mix.

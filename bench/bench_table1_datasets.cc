@@ -18,7 +18,7 @@ int main() {
   }
   bench::PrintRule();
   std::printf(
-      "Repro N is the synthetic stand-in size (DESIGN.md section 5); set\n"
-      "CAGRA_BENCH_SCALE=large to x4 every dataset.\n");
+      "Repro N is the synthetic stand-in size (README, \"Synthetic profile\n"
+      "scaling\"); set CAGRA_BENCH_SCALE=large to x4 every dataset.\n");
   return 0;
 }

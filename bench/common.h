@@ -83,18 +83,20 @@ double AverageSingleQueryQps(const Matrix<float>& queries, size_t count,
   return total_seconds > 0 ? static_cast<double>(n) / total_seconds : 0.0;
 }
 
-/// CPU baseline scaling (DESIGN.md §1): measured single-thread batch QPS
-/// x the modeled 64-core parallel efficiency of the paper's EPYC 7742.
+/// CPU baseline scaling (README "Measured vs modeled time"): measured
+/// single-thread batch QPS x the modeled 64-core parallel efficiency of
+/// the paper's EPYC 7742.
 inline double ScaledCpuBatchQps(double measured_seconds, size_t batch,
                                 const CpuSpec& cpu = CpuSpec{}) {
   if (measured_seconds <= 0) return 0.0;
   return static_cast<double>(batch) / measured_seconds * cpu.BatchScale();
 }
 
-/// Construction-time platform scaling (DESIGN.md §1): builds here run on
-/// one host core; the paper's GPU builders (CAGRA, GGNN, GANNS) ran on
-/// an A100 and its CPU builders (HNSW, NSSG) on 64 EPYC cores. The
-/// modeled columns divide measured wall time by a documented speedup:
+/// Construction-time platform scaling (README "Measured vs modeled
+/// time"): builds here run on one host core; the paper's GPU builders
+/// (CAGRA, GGNN, GANNS) ran on an A100 and its CPU builders (HNSW,
+/// NSSG) on 64 EPYC cores. The modeled columns divide measured wall
+/// time by a documented speedup:
 /// A100 vs one Zen-2 core on distance-bound parallel kernels ~400x
 /// (fp32 FLOP ratio ~780x derated to ~50% achievable), 64-core CPU
 /// ~54.4x (cores x 0.85 efficiency).

@@ -31,7 +31,7 @@ struct HnswBuildStats {
 };
 
 /// Per-search instrumentation (used to report CPU work; HNSW times are
-/// measured on the host, not modeled — DESIGN.md §1).
+/// measured on the host, not modeled — README "Measured vs modeled time").
 struct HnswSearchStats {
   size_t distance_computations = 0;
   size_t hops = 0;

@@ -252,9 +252,9 @@ Result<SearchResult> Search(const CagraIndex& index,
     // so it counts toward the width: a dedicated pool gets
     // num_threads - 1 workers, and host_threads reports workers + 1.
     // The pool is cached per calling thread and reused while the width
-    // matches: chunked callers (streaming sharded search at an explicit
-    // width) issue many small searches back-to-back, and spawning +
-    // joining fresh threads per call would dominate tiny chunks.
+    // matches: callers that repeat explicit-width searches (for example
+    // a benchmark's batch loop) would otherwise spawn and join a fresh
+    // set of threads on every call.
     pool = &GlobalThreadPool();
     if (params.num_threads > 1) {
       static thread_local std::unique_ptr<ThreadPool> dedicated;

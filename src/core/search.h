@@ -14,8 +14,9 @@
 namespace cagra {
 
 /// Output of a batched CAGRA search: results plus the hardware counters
-/// and the modeled GPU execution time (see DESIGN.md §1 — results and
-/// recall are real; only the time axis comes from the device model).
+/// and the modeled GPU execution time (see README "Measured vs modeled
+/// time" — results and recall are real; only the time axis comes from
+/// the device model).
 struct SearchResult {
   NeighborList neighbors;
   KernelCounters counters;

@@ -1,11 +1,26 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/search_internal.h"
-#include "util/radix_sort.h"
+#include "gpusim/cost_model.h"
 
 namespace cagra {
 namespace internal_search {
+
+namespace {
+
+/// A key's rank in SortByKey's order: the float's bits mapped to an
+/// unsigned integer with the same ordering (flip all bits of negatives,
+/// only the sign bit of positives), with -0 folded into +0 first.
+uint32_t KeyRank(float key) {
+  if (key == 0.0f) key = 0.0f;
+  uint32_t u;
+  std::memcpy(&u, &key, sizeof(u));
+  return (u & 0x80000000u) != 0 ? ~u : (u | 0x80000000u);
+}
+
+}  // namespace
 
 VisitedSet& SearchScratch::EnsureVisited(size_t capacity) {
   // Reset() and a fresh allocation are both O(capacity); reuse avoids
@@ -86,18 +101,39 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
   return cfg;
 }
 
+void SortByKey(std::vector<KeyValue>* entries) {
+  std::sort(entries->begin(), entries->end(), [](KeyValue a, KeyValue b) {
+    const uint32_t rank_a = KeyRank(a.key);
+    const uint32_t rank_b = KeyRank(b.key);
+    return rank_a != rank_b ? rank_a < rank_b : a.value < b.value;
+  });
+}
+
 void SortAndMerge(std::vector<KeyValue>* topm,
                   std::vector<KeyValue>* candidates,
-                  KernelCounters* counters) {
-  // §IV-B2: warp-level bitonic sort in registers for small candidate
-  // lists, CTA-level radix sort in shared memory above 512 entries.
-  if (candidates->size() <= 512) {
-    counters->sort_exchanges += BitonicSorter::Sort(candidates);
+                  std::vector<KeyValue>* merge_buf, KernelCounters* counters) {
+  const size_t m = topm->size();
+  const size_t c = candidates->size();
+  if (c <= kMaxBitonicCandidates) {
+    counters->sort_exchanges += BitonicSortExchanges(c);
   } else {
-    counters->radix_scatters += RadixSorter::Sort(candidates);
+    counters->radix_scatters += RadixSortScatters(c);
   }
-  counters->sort_exchanges +=
-      BitonicSorter::MergeKeepSmallest(topm, *candidates);
+  counters->sort_exchanges += BitonicMergeExchanges(m, c);
+
+  SortByKey(candidates);
+  // Two-way merge of the old top-M (copied aside) and the sorted
+  // candidates, written back over topm until it holds m entries.
+  merge_buf->assign(topm->begin(), topm->end());
+  const KeyValue* old = merge_buf->data();
+  const KeyValue* cand = candidates->data();
+  size_t io = 0;
+  size_t ic = 0;
+  for (KeyValue& out : *topm) {
+    const bool take_old =
+        ic == c || KeyRank(old[io].key) <= KeyRank(cand[ic].key);
+    out = take_old ? old[io++] : cand[ic++];
+  }
 }
 
 }  // namespace internal_search

@@ -10,10 +10,18 @@
 #include "core/params.h"
 #include "core/snapshot.h"
 #include "gpusim/counters.h"
-#include "util/bitonic.h"
 #include "util/visited_set.h"
 
 namespace cagra {
+
+/// A (distance, index) pair as held in the CAGRA search buffer. The index
+/// carries the MSB "has been a parent" flag (§IV-B4), so entries order by
+/// the distance key; the index only breaks ties (SortByKey).
+struct KeyValue {
+  float key;
+  uint32_t value;
+};
+
 namespace internal_search {
 
 /// MSB parent flag on buffer entries (§IV-B4): set once a node has been
@@ -211,6 +219,9 @@ struct SearchScratch {
   std::vector<CtaState> ctas;
   std::vector<KeyValue> merged;
 
+  /// SortAndMerge's copy of the old top-M, merged back into place.
+  std::vector<KeyValue> merge_buf;
+
   /// Returns a wiped visited table with exactly `capacity` slots,
   /// reusing the previous allocation when the capacity matches.
   VisitedSet& EnsureVisited(size_t capacity);
@@ -265,12 +276,21 @@ size_t SearchMultiCta(const DatasetView& dataset,
                       KernelCounters* counters, SearchScratch* scratch,
                       bool* truncated = nullptr);
 
-/// Sorts the candidate segment and merges it into the sorted top-M
-/// segment, charging bitonic or radix cost per the §IV-B2 rule
-/// (bitonic for <= 512 candidates, radix above).
+/// Sorts `entries` ascending by key, then by value: a total order
+/// (NaN keys sort to the ends, -0 equals +0), so the result never
+/// depends on the std::sort implementation. Charges nothing; callers
+/// charge the kernel's network by closed form (gpusim/cost_model.h).
+void SortByKey(std::vector<KeyValue>* entries);
+
+/// Step 1 of every iteration (§IV-B2): sorts the candidate list
+/// (SortByKey) and merges it into the sorted top-M in place, keeping
+/// the |topm| smallest; on equal keys the top-M entry wins. `merge_buf`
+/// is reusable storage (SearchScratch::merge_buf). Charges the kernel's
+/// work by closed form: a bitonic sort for <= kMaxBitonicCandidates
+/// candidates, a radix sort above, then one bitonic merge.
 void SortAndMerge(std::vector<KeyValue>* topm,
                   std::vector<KeyValue>* candidates,
-                  KernelCounters* counters);
+                  std::vector<KeyValue>* merge_buf, KernelCounters* counters);
 
 }  // namespace internal_search
 }  // namespace cagra

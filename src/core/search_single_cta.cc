@@ -2,6 +2,7 @@
 #include <limits>
 
 #include "core/search_internal.h"
+#include "gpusim/cost_model.h"
 #include "util/rng.h"
 #include "util/visited_set.h"
 
@@ -82,7 +83,8 @@ size_t SearchSingleCta(const DatasetView& dataset,
       }
     }
     scratch->FlushBatch(dataset, qv, &init, counters);
-    counters->sort_exchanges += BitonicSorter::Sort(&init);
+    SortByKey(&init);
+    counters->sort_exchanges += BitonicSortExchanges(init.size());
     std::copy(init.begin(), init.begin() + cfg.itopk, topm.begin());
     std::copy(init.begin() + cfg.itopk, init.end(), candidates.begin());
   }
@@ -99,7 +101,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   CancelCheck cancel(cfg.cancel, /*stride=*/4);
   while (true) {
     // --- Step 1: update internal top-M from the whole buffer.
-    SortAndMerge(&topm, &candidates, counters);
+    SortAndMerge(&topm, &candidates, &scratch->merge_buf, counters);
     iterations++;
 
     if (iterations >= cfg.max_iterations) break;

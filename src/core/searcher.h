@@ -10,11 +10,12 @@ namespace cagra {
 /// The unified search front door. A Searcher answers one batched
 /// request — `Search(queries, params)` with every knob (k, itopk,
 /// precision, threading) folded into SearchParams — regardless of what
-/// executes it underneath: a single CagraIndex (IndexSearcher), the
-/// streaming sharded pipeline (ShardedCagraIndex), or any future
-/// backend. The serving scheduler, and every feature written on top of
-/// it, targets this interface once instead of the per-backend entry
-/// points; tests inject fakes through it to script execution timing.
+/// executes it underneath: a single CagraIndex (IndexSearcher), a
+/// sharded index (ShardedCagraIndex, one task per shard and one merge),
+/// or any future backend. The serving scheduler, and every feature
+/// written on top of it, targets this interface once instead of the
+/// per-backend entry points; tests inject fakes through it to script
+/// execution timing.
 class Searcher {
  public:
   virtual ~Searcher() = default;

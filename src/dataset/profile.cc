@@ -10,8 +10,9 @@ const std::vector<DatasetProfile>& AllProfiles() {
   // default_size scales the paper's datasets down so the full bench
   // suite completes on a single core in minutes (calibrated at ~1 ms of
   // build time per node). DEEP-1M/10M/100M keep a 1:3:9 ladder (paper
-  // 1:10:100) so scaling trends stay visible; see DESIGN.md §5. Use
-  // CAGRA_BENCH_SCALE=large (or real fvecs files) for bigger runs.
+  // 1:10:100) so scaling trends stay visible; see README "Synthetic
+  // profile scaling". Use CAGRA_BENCH_SCALE=large (or real fvecs files)
+  // for bigger runs.
   static const std::vector<DatasetProfile>* profiles =
       new std::vector<DatasetProfile>{
           {"SIFT-1M", 128, 1000000, 8000, 32, Metric::kL2, 64, 0.30f, false,

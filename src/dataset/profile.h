@@ -12,7 +12,8 @@ namespace cagra {
 /// Synthetic stand-in profile for one of the paper's evaluation datasets
 /// (Table I). Real SIFT/GIST/GloVe/NYTimes/DEEP files are not available
 /// offline, so each profile drives a clustered-Gaussian generator tuned to
-/// the same dimensionality and search hardness; see DESIGN.md §1.
+/// the same dimensionality and search hardness; see
+/// README "Synthetic profile scaling".
 struct DatasetProfile {
   std::string name;        ///< Paper dataset this profile stands in for.
   size_t dim;              ///< Vector dimensionality (matches Table I).

@@ -19,6 +19,13 @@ double SerialSortCycles(const KernelLaunchConfig& cfg) {
   return stages * (stages + 1.0) * 0.5 * 8.0;
 }
 
+/// log2 of nextpow2(n); 0 for n <= 1.
+size_t CeilLog2(size_t n) {
+  size_t log = 0;
+  while ((size_t{1} << log) < n) log++;
+  return log;
+}
+
 }  // namespace
 
 OccupancyInfo AnalyzeOccupancy(const DeviceSpec& dev,
@@ -183,5 +190,17 @@ double EstimateQps(const DeviceSpec& dev, const KernelLaunchConfig& cfg,
   return static_cast<double>(std::max<size_t>(counters.queries, 1)) /
          cost.total;
 }
+
+size_t BitonicSortExchanges(size_t n) {
+  const size_t log_p = CeilLog2(n);
+  return (size_t{1} << log_p) / 2 * (log_p * (log_p + 1) / 2);
+}
+
+size_t BitonicMergeExchanges(size_t m, size_t c) {
+  const size_t log_p = CeilLog2(m + c);
+  return log_p * ((size_t{1} << log_p) / 2);
+}
+
+size_t RadixSortScatters(size_t n) { return 4 * n; }
 
 }  // namespace cagra

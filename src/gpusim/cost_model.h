@@ -63,6 +63,26 @@ CostBreakdown EstimateKernelTime(const DeviceSpec& dev,
 double EstimateQps(const DeviceSpec& dev, const KernelLaunchConfig& cfg,
                    const KernelCounters& counters);
 
+// --- §IV-B2 sort kernels, charged by closed form. The kernel's sort
+// networks are data-oblivious, so their work depends on the sizes alone;
+// the host sorts with std::sort and charges these counts.
+
+/// Candidate-list length above which the kernel switches from the
+/// warp-level bitonic sort to the CTA-level radix sort.
+constexpr size_t kMaxBitonicCandidates = 512;
+
+/// Compare-exchanges of a bitonic sort of n entries, padded to
+/// P = nextpow2(n): P/2 per stage over log2 P * (log2 P + 1) / 2 stages.
+size_t BitonicSortExchanges(size_t n);
+
+/// Compare-exchanges of the bitonic merge of c sorted candidates into a
+/// sorted m-entry top-M: log2 P stages of P/2, P = nextpow2(m + c).
+size_t BitonicMergeExchanges(size_t m, size_t c);
+
+/// Scatters of the CTA radix sort of n entries: four 8-bit digit passes
+/// over 32-bit keys, one scatter per entry each.
+size_t RadixSortScatters(size_t n);
+
 }  // namespace cagra
 
 #endif  // CAGRA_GPUSIM_COST_MODEL_H_

@@ -10,8 +10,8 @@ namespace cagra {
 /// 80GB used by the paper (108 SMs, ~2 TB/s HBM2e, 164 KB shared memory
 /// per SM, 1.41 GHz). The cost model (cost_model.h) converts hardware
 /// counters collected during a functionally-executed search into a time
-/// estimate on this device; see DESIGN.md §1 for why this substitution
-/// preserves the paper's comparisons.
+/// estimate on this device; see README "Measured vs modeled time" for why this
+/// substitution preserves the paper's comparisons.
 struct DeviceSpec {
   std::string name = "A100-80GB (modeled)";
   size_t sm_count = 108;

@@ -91,11 +91,11 @@ struct ServingStats {
   size_t batches = 0;    ///< micro-batches flushed
   double mean_batch_rows = 0;
   double qps = 0;        ///< completed / uptime
-  /// Modeled device time (DESIGN.md §1) summed over every search call
-  /// the scheduler issued. Batches amortize the device's serial
-  /// per-query latency floor, so this is where micro-batching shows its
-  /// throughput win — host wall time here executes queries functionally
-  /// one row at a time and cannot.
+  /// Modeled device time (README "Measured vs modeled time") summed
+  /// over every search call the scheduler issued. Batches amortize the
+  /// device's serial per-query latency floor, so this is where
+  /// micro-batching shows its throughput win — host wall time here
+  /// executes queries functionally one row at a time and cannot.
   double modeled_device_seconds = 0;
   double modeled_qps = 0;  ///< completed / modeled_device_seconds
   double p50_us = 0;
@@ -107,8 +107,8 @@ struct ServingStats {
 /// Dynamic micro-batching front-end over any Searcher: accepts
 /// single-query requests (the shape production traffic actually has),
 /// coalesces them under a deadline into batches (the shape every fast
-/// path here wants — multi-row kernels, fast-scan ADC, streaming
-/// shards), and scatters per-query results back through futures.
+/// path here wants — multi-row kernels, fast-scan ADC, per-shard
+/// tasks), and scatters per-query results back through futures.
 ///
 /// Request lifecycle: Submit validates, stamps, and TryPushes into a
 /// bounded MPSC queue — a full queue sheds the request immediately with

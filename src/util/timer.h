@@ -6,7 +6,7 @@
 namespace cagra {
 
 /// Wall-clock stopwatch used by construction benchmarks (CPU-side times
-/// are measured, not modeled; see DESIGN.md §1).
+/// are measured, not modeled; see README "Measured vs modeled time").
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}

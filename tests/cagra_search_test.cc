@@ -5,6 +5,7 @@
 #include "core/search.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
+#include "gpusim/cost_model.h"
 #include "knn/bruteforce.h"
 
 namespace cagra {
@@ -220,7 +221,38 @@ TEST_F(CagraSearchTest, CountersAreConsistent) {
             c.hash_probes_shared + c.hash_probes_device);
   EXPECT_GT(c.iterations, 0u);
   EXPECT_LE(c.max_iterations, 1024u);
-  EXPECT_GT(c.sort_exchanges, 0u);
+
+  // The §IV-B2 sort charges are closed forms of the buffer sizes: per
+  // query one bitonic seed sort of the whole M + C buffer; per iteration
+  // a candidate sort (bitonic up to 512 candidates, radix above) and one
+  // bitonic merge into the top-M. Width 1 at degree 16 takes the bitonic
+  // branch; width 17 at degree 32 (544 candidates) the radix one.
+  auto expect_sort_charges = [](const KernelCounters& got, size_t m,
+                                size_t cands) {
+    const size_t seeds = got.queries * BitonicSortExchanges(m + cands);
+    const size_t merges = got.iterations * BitonicMergeExchanges(m, cands);
+    if (cands <= kMaxBitonicCandidates) {
+      EXPECT_EQ(got.sort_exchanges,
+                seeds + got.iterations * BitonicSortExchanges(cands) + merges);
+      EXPECT_EQ(got.radix_scatters, 0u);
+    } else {
+      EXPECT_EQ(got.sort_exchanges, seeds + merges);
+      EXPECT_EQ(got.radix_scatters,
+                got.iterations * RadixSortScatters(cands));
+    }
+  };
+  expect_sort_charges(c, 64, 16);
+
+  BuildParams build;
+  build.graph_degree = 32;
+  build.metric = index_->metric();
+  auto wide = CagraIndex::Build(data_->base, build);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  params.search_width = 17;
+  auto r17 = Search(*wide, data_->queries, params);
+  ASSERT_TRUE(r17.ok());
+  ASSERT_GT(r17->counters.radix_scatters, 0u);
+  expect_sort_charges(r17->counters, 64, 17 * 32);
 }
 
 TEST_F(CagraSearchTest, ModeledCostPopulated) {

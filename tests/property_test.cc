@@ -126,8 +126,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{"GloVe-200", Metric::kCosine, 16},
                       SweepCase{"NYTimes", Metric::kCosine, 16}));
 
-/// Forward-fraction ablation sweep (DESIGN.md §4.6): any split must keep
-/// the graph searchable.
+/// Forward-fraction sweep (the bench_ablation_merge ablation; the paper
+/// fixes d/2 + d/2, §III-B2): any split must keep the graph searchable.
 class MergeFractionTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(MergeFractionTest, GraphRemainsSearchable) {

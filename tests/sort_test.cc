@@ -1,206 +1,204 @@
+// The search buffer's host sort and merge (internal_search::SortByKey /
+// SortAndMerge) and the closed forms that charge the §IV-B2 GPU sort
+// kernels to the cost model.
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/bitonic.h"
-#include "util/radix_sort.h"
+#include "core/search_internal.h"
+#include "gpusim/cost_model.h"
 #include "util/rng.h"
 
 namespace cagra {
 namespace {
 
-std::vector<KeyValue> RandomData(size_t n, uint64_t seed,
-                                 bool with_negatives = false) {
-  Pcg32 rng(seed);
-  std::vector<KeyValue> data(n);
-  for (size_t i = 0; i < n; i++) {
-    float key = rng.NextFloat() * 100.0f;
-    if (with_negatives) key -= 50.0f;
-    data[i] = {key, rng.Next()};
+using internal_search::kParentFlag;
+using internal_search::SortAndMerge;
+using internal_search::SortByKey;
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr KeyValue kPad{kInf, 0xffffffffu};
+
+size_t NextPow2(size_t n) {
+  size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+/// Compare-exchanges of the iterative bitonic sorting network over a
+/// power-of-two range of p entries, counted over its index pattern
+/// without sorting anything.
+size_t CountBitonicSortNetwork(size_t p) {
+  size_t exchanges = 0;
+  for (size_t k = 2; k <= p; k <<= 1) {
+    for (size_t j = k >> 1; j > 0; j >>= 1) {
+      for (size_t i = 0; i < p; i++) {
+        if ((i ^ j) > i) exchanges++;
+      }
+    }
   }
-  return data;
+  return exchanges;
 }
 
-bool IsSortedByKey(const std::vector<KeyValue>& data) {
-  for (size_t i = 1; i < data.size(); i++) {
-    if (data[i - 1].key > data[i].key) return false;
+/// Compare-exchanges of the bitonic merging network over p entries (the
+/// last k == p pass of the sorting network).
+size_t CountBitonicMergeNetwork(size_t p) {
+  size_t exchanges = 0;
+  for (size_t j = p >> 1; j > 0; j >>= 1) {
+    for (size_t i = 0; i < p; i++) {
+      if ((i ^ j) > i) exchanges++;
+    }
   }
-  return true;
+  return exchanges;
 }
 
-// ------------------------------------------------------------- Bitonic
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, 4) == 0; }
 
-TEST(BitonicTest, EmptyAndSingle) {
-  std::vector<KeyValue> empty;
-  EXPECT_EQ(BitonicSorter::Sort(&empty), 0u);
-  std::vector<KeyValue> one = {{3.f, 1}};
-  EXPECT_EQ(BitonicSorter::Sort(&one), 0u);
-  EXPECT_EQ(one[0].key, 3.f);
+// ------------------------------------------------------------ Charges
+
+TEST(SortChargeTest, BitonicSortMatchesNetworkCount) {
+  EXPECT_EQ(BitonicSortExchanges(0), 0u);
+  EXPECT_EQ(BitonicSortExchanges(1), 0u);
+  std::vector<size_t> network(2049, 0);  // by padded length
+  for (size_t p = 2; p <= 2048; p <<= 1) {
+    network[p] = CountBitonicSortNetwork(p);
+  }
+  for (size_t n = 2; n <= 2048; n++) {
+    EXPECT_EQ(BitonicSortExchanges(n), network[NextPow2(n)]) << n;
+  }
+  EXPECT_EQ(BitonicSortExchanges(512), 256u * 45u);  // 9 * 10 / 2 stages
 }
 
-TEST(BitonicTest, SortsPowerOfTwo) {
-  auto data = RandomData(64, 1);
-  BitonicSorter::Sort(&data);
-  EXPECT_TRUE(IsSortedByKey(data));
-  EXPECT_EQ(data.size(), 64u);
-}
-
-TEST(BitonicTest, SortsNonPowerOfTwoWithPadding) {
-  for (size_t n : {3u, 5u, 17u, 100u, 513u}) {
-    auto data = RandomData(n, n);
-    auto reference = data;
-    BitonicSorter::Sort(&data);
-    EXPECT_TRUE(IsSortedByKey(data)) << n;
-    EXPECT_EQ(data.size(), n) << n;
-    // Same multiset of keys.
-    std::sort(reference.begin(), reference.end(),
-              [](KeyValue a, KeyValue b) { return a.key < b.key; });
-    for (size_t i = 0; i < n; i++) {
-      EXPECT_EQ(data[i].key, reference[i].key) << n << " " << i;
+TEST(SortChargeTest, BitonicMergeMatchesNetworkCount) {
+  for (size_t m : {1u, 2u, 10u, 32u, 64u, 100u, 256u, 512u}) {
+    for (size_t c : {0u, 1u, 7u, 32u, 64u, 512u, 513u, 544u, 2048u}) {
+      EXPECT_EQ(BitonicMergeExchanges(m, c),
+                CountBitonicMergeNetwork(NextPow2(m + c)))
+          << m << " " << c;
     }
   }
 }
 
-TEST(BitonicTest, PreservesKeyValueAssociation) {
-  std::vector<KeyValue> data;
-  for (uint32_t i = 0; i < 32; i++) {
-    data.push_back({static_cast<float>(31 - i), i});
-  }
-  BitonicSorter::Sort(&data);
-  for (uint32_t i = 0; i < 32; i++) {
-    EXPECT_EQ(data[i].key, static_cast<float>(i));
-    EXPECT_EQ(data[i].value, 31 - i);
+TEST(SortChargeTest, RadixIsFourDigitPassesPerEntry) {
+  // 32-bit keys in 8-bit digits: 4 passes, one scatter per entry each.
+  for (size_t c : {513u, 544u, 777u, 1024u, 2048u}) {
+    EXPECT_EQ(RadixSortScatters(c), 4 * c) << c;
   }
 }
 
-TEST(BitonicTest, ExchangeCountMatchesNetwork) {
-  // A length-n bitonic network performs exactly n/2 * log(n)(log(n)+1)/2
-  // compare-exchanges.
-  auto data = RandomData(64, 3);
-  const size_t exchanges = BitonicSorter::Sort(&data);
-  EXPECT_EQ(exchanges, 64 / 2 * BitonicSorter::SortStages(64));
-}
+// ------------------------------------------------------ Sort and merge
 
-TEST(BitonicTest, SortStagesFormula) {
-  EXPECT_EQ(BitonicSorter::SortStages(1), 0u);
-  EXPECT_EQ(BitonicSorter::SortStages(2), 1u);
-  EXPECT_EQ(BitonicSorter::SortStages(4), 3u);
-  EXPECT_EQ(BitonicSorter::SortStages(512), 45u);  // 9*10/2
-}
-
-TEST(BitonicTest, MergeKeepSmallestBasic) {
-  std::vector<KeyValue> a = {{1.f, 1}, {4.f, 4}, {9.f, 9}};
-  std::vector<KeyValue> b = {{2.f, 2}, {3.f, 3}};
-  BitonicSorter::MergeKeepSmallest(&a, b);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(a[0].key, 1.f);
-  EXPECT_EQ(a[1].key, 2.f);
-  EXPECT_EQ(a[2].key, 3.f);
-}
-
-TEST(BitonicTest, MergeWithEmptyCandidates) {
-  std::vector<KeyValue> a = {{1.f, 1}, {2.f, 2}};
-  std::vector<KeyValue> b;
-  BitonicSorter::MergeKeepSmallest(&a, b);
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a[0].key, 1.f);
-}
-
-TEST(BitonicTest, MergeMatchesReference) {
-  Pcg32 rng(5);
-  for (int trial = 0; trial < 30; trial++) {
-    const size_t m = 1 + rng.NextBounded(64);
-    const size_t c = rng.NextBounded(64);
-    auto a = RandomData(m, trial * 2 + 100);
-    auto b = RandomData(c, trial * 2 + 101);
-    std::sort(a.begin(), a.end(),
-              [](KeyValue x, KeyValue y) { return x.key < y.key; });
-    std::sort(b.begin(), b.end(),
-              [](KeyValue x, KeyValue y) { return x.key < y.key; });
-    std::vector<KeyValue> all = a;
-    all.insert(all.end(), b.begin(), b.end());
-    std::sort(all.begin(), all.end(),
-              [](KeyValue x, KeyValue y) { return x.key < y.key; });
-    BitonicSorter::MergeKeepSmallest(&a, b);
-    ASSERT_EQ(a.size(), m);
-    for (size_t i = 0; i < m; i++) EXPECT_EQ(a[i].key, all[i].key);
+/// Keys from a small set so ties are common, with negatives, -0 and +0,
+/// and some +inf / 0xffffffff padding entries.
+KeyValue RandomEntry(Pcg32* rng) {
+  switch (rng->NextBounded(8)) {
+    case 0: return kPad;
+    case 1: return {-0.0f, rng->NextBounded(64)};
+    case 2: return {0.0f, rng->NextBounded(64)};
+    default:
+      return {0.5f * (static_cast<float>(rng->NextBounded(21)) - 10.0f),
+              rng->NextBounded(64)};
   }
 }
 
-// ------------------------------------------------------------- Radix
-
-TEST(RadixTest, SortsPositiveKeys) {
-  auto data = RandomData(1000, 7);
-  RadixSorter::Sort(&data);
-  EXPECT_TRUE(IsSortedByKey(data));
+bool ReferenceLess(KeyValue a, KeyValue b) {
+  return a.key != b.key ? a.key < b.key : a.value < b.value;
 }
 
-TEST(RadixTest, SortsNegativeAndPositiveKeys) {
-  auto data = RandomData(1000, 8, /*with_negatives=*/true);
-  RadixSorter::Sort(&data);
-  EXPECT_TRUE(IsSortedByKey(data));
-}
+TEST(SortAndMergeTest, MatchesSortThenTakeM) {
+  Pcg32 rng(2024);
+  for (size_t m : {1u, 32u, 64u, 256u}) {
+    for (size_t c : {0u, 1u, 512u, 513u, 2048u}) {
+      for (int trial = 0; trial < 3; trial++) {
+        std::vector<KeyValue> topm(m);
+        for (KeyValue& e : topm) e = RandomEntry(&rng);
+        std::sort(topm.begin(), topm.end(), ReferenceLess);
+        // Expanded entries carry the parent flag; it rides along.
+        for (size_t i = 0; i < m; i += 3) {
+          if (topm[i].value != kPad.value) topm[i].value |= kParentFlag;
+        }
+        std::vector<KeyValue> candidates(c);
+        for (KeyValue& e : candidates) e = RandomEntry(&rng);
 
-TEST(RadixTest, MatchesStdSort) {
-  auto data = RandomData(777, 9, true);
-  auto reference = data;
-  std::sort(reference.begin(), reference.end(),
-            [](KeyValue a, KeyValue b) { return a.key < b.key; });
-  const size_t scatters = RadixSorter::Sort(&data);
-  for (size_t i = 0; i < data.size(); i++) {
-    EXPECT_EQ(data[i].key, reference[i].key) << i;
-  }
-  EXPECT_EQ(scatters, 777u * RadixSorter::kPasses);
-}
+        // Reference: the candidates sorted by (key, value), appended to
+        // the top-M, stably sorted by key (top-M wins ties), first m.
+        std::vector<KeyValue> reference = candidates;
+        std::sort(reference.begin(), reference.end(), ReferenceLess);
+        reference.insert(reference.begin(), topm.begin(), topm.end());
+        std::stable_sort(reference.begin(), reference.end(),
+                         [](KeyValue a, KeyValue b) { return a.key < b.key; });
+        reference.resize(m);
 
-TEST(RadixTest, StableOnEqualKeys) {
-  std::vector<KeyValue> data = {{1.f, 0}, {1.f, 1}, {0.f, 2}, {1.f, 3}};
-  RadixSorter::Sort(&data);
-  EXPECT_EQ(data[0].value, 2u);
-  EXPECT_EQ(data[1].value, 0u);
-  EXPECT_EQ(data[2].value, 1u);
-  EXPECT_EQ(data[3].value, 3u);
-}
+        std::vector<KeyValue> merge_buf;
+        KernelCounters counters;
+        SortAndMerge(&topm, &candidates, &merge_buf, &counters);
+        ASSERT_EQ(topm.size(), m);
+        for (size_t i = 0; i < m; i++) {
+          EXPECT_TRUE(SameBits(topm[i].key, reference[i].key))
+              << m << " " << c << " " << i;
+          EXPECT_EQ(topm[i].value, reference[i].value)
+              << m << " " << c << " " << i;
+        }
 
-TEST(RadixTest, HandlesZeroAndNegativeZero) {
-  std::vector<KeyValue> data = {{0.0f, 0}, {-0.0f, 1}, {-1.0f, 2}, {1.0f, 3}};
-  RadixSorter::Sort(&data);
-  EXPECT_EQ(data[0].key, -1.0f);
-  EXPECT_EQ(data[3].key, 1.0f);
-}
-
-// Parameterized cross-check: both sorters agree with std::sort across a
-// sweep of sizes (the §IV-B2 small/large candidate-list regimes).
-class SorterSweepTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SorterSweepTest, BitonicMatchesStdSort) {
-  auto data = RandomData(GetParam(), GetParam() * 13 + 1, true);
-  auto reference = data;
-  std::sort(reference.begin(), reference.end(),
-            [](KeyValue a, KeyValue b) { return a.key < b.key; });
-  BitonicSorter::Sort(&data);
-  ASSERT_EQ(data.size(), reference.size());
-  for (size_t i = 0; i < data.size(); i++) {
-    EXPECT_EQ(data[i].key, reference[i].key);
+        // §IV-B2: bitonic up to 512 candidates, radix above; one merge.
+        const size_t merge = BitonicMergeExchanges(m, c);
+        if (c <= 512) {
+          EXPECT_EQ(counters.sort_exchanges, BitonicSortExchanges(c) + merge);
+          EXPECT_EQ(counters.radix_scatters, 0u);
+        } else {
+          EXPECT_EQ(counters.sort_exchanges, merge);
+          EXPECT_EQ(counters.radix_scatters, 4 * c);
+        }
+      }
+    }
   }
 }
 
-TEST_P(SorterSweepTest, RadixMatchesStdSort) {
-  auto data = RandomData(GetParam(), GetParam() * 17 + 3, true);
-  auto reference = data;
-  std::sort(reference.begin(), reference.end(),
-            [](KeyValue a, KeyValue b) { return a.key < b.key; });
-  RadixSorter::Sort(&data);
-  ASSERT_EQ(data.size(), reference.size());
-  for (size_t i = 0; i < data.size(); i++) {
-    EXPECT_EQ(data[i].key, reference[i].key);
+TEST(SortAndMergeTest, SortByKeyOrdersTiesByValueAndFoldsSignedZero) {
+  std::vector<KeyValue> entries = {
+      {1.0f, 9}, {0.0f, 7}, {-0.0f, 8}, {1.0f, 2}, kPad, {-3.0f, 5},
+      {kInf, 4}, {0.0f, 1}};
+  SortByKey(&entries);
+  const std::vector<uint32_t> values = {5, 1, 7, 8, 2, 9, 4, 0xffffffffu};
+  ASSERT_EQ(entries.size(), values.size());
+  for (size_t i = 0; i < values.size(); i++) {
+    EXPECT_EQ(entries[i].value, values[i]) << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, SorterSweepTest,
-                         ::testing::Values(2, 7, 16, 31, 64, 127, 256, 512,
-                                           513, 1024, 2048));
+TEST(SortAndMergeTest, NanKeysStayWellDefined) {
+  // A NaN query makes every distance NaN; the sort must still be a
+  // valid total order (NaN after +inf), never undefined behaviour.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Pcg32 rng(7);
+  std::vector<KeyValue> candidates(2048);
+  for (size_t i = 0; i < candidates.size(); i++) {
+    candidates[i] = {rng.NextBounded(2) == 0 ? nan : rng.NextFloat(),
+                     static_cast<uint32_t>(i)};
+  }
+  std::vector<KeyValue> topm(64, kPad);
+  std::vector<KeyValue> merge_buf;
+  KernelCounters counters;
+  SortAndMerge(&topm, &candidates, &merge_buf, &counters);
+  size_t nans = 0;
+  for (size_t i = 0; i < candidates.size(); i++) {
+    if (std::isnan(candidates[i].key)) {
+      nans++;
+    } else {
+      EXPECT_EQ(nans, 0u) << "finite key after a NaN at " << i;
+      if (i > 0) EXPECT_LE(candidates[i - 1].key, candidates[i].key);
+    }
+  }
+  EXPECT_GT(nans, 0u);
+  ASSERT_EQ(topm.size(), 64u);
+  for (size_t i = 1; i < topm.size(); i++) {
+    EXPECT_LE(topm[i - 1].key, topm[i].key);
+  }
+}
 
 }  // namespace
 }  // namespace cagra

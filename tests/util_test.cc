@@ -8,7 +8,6 @@
 
 #include "util/bounded_heap.h"
 #include "util/half.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -271,21 +270,6 @@ TEST(BoundedHeapTest, MatchesFullSortReference) {
       EXPECT_EQ(sorted[i].distance, all[i].first) << trial << " " << i;
     }
   }
-}
-
-// ---------------------------------------------------------------- Logging
-
-TEST(LoggingTest, LevelRoundTrips) {
-  const LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kDebug);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kDebug);
-  SetLogLevel(prev);
-}
-
-TEST(LoggingTest, EmitBelowThresholdIsSilentAndSafe) {
-  SetLogLevel(LogLevel::kError);
-  CAGRA_LOG(kDebug) << "should not crash " << 42;
-  SetLogLevel(LogLevel::kWarning);
 }
 
 }  // namespace
