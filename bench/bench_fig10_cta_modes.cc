@@ -39,6 +39,9 @@ void SingleRow(const CagraIndex& index, const bench::Workbench& wb,
     sp.k = 10;
     sp.itopk = itopk;
     sp.algo = algo;
+    if (algo == SearchAlgo::kMultiCta) {
+      sp.cta_per_query = bench::A100FillCtaPerQuery(1, itopk);
+    }
     // One query per launch (batch = 1), averaged over 30 queries.
     double recall_sum = 0;
     const size_t nq = 30;

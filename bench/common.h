@@ -1,6 +1,7 @@
 #ifndef CAGRA_BENCH_COMMON_H_
 #define CAGRA_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -68,6 +69,20 @@ inline double ModeledQpsAtBatch(const SearchResult& result,
   KernelLaunchConfig launch = result.launch;
   launch.batch = target_batch;
   return EstimateQps(device, launch, scaled);
+}
+
+/// The multi-CTA width that fills the modeled A100 at `batch` queries:
+/// enough 32-entry CTAs to cover itopk, and 2 x SMs / batch, clamped to
+/// [2, 64]. Search's auto plan caps the fill term at 16 because the host
+/// runs a query's CTAs one after another; paper-figure benches that
+/// model small batches pass this width explicitly to keep the A100 plan.
+inline size_t A100FillCtaPerQuery(size_t batch, size_t itopk,
+                                  const DeviceSpec& dev = DeviceSpec{}) {
+  if (batch == 0) batch = 1;
+  const size_t by_breadth = (itopk + 31) / 32;
+  const size_t by_fill =
+      batch < dev.sm_count ? (2 * dev.sm_count + batch - 1) / batch : 1;
+  return std::clamp<size_t>(std::max(by_breadth, by_fill), 2, 64);
 }
 
 /// Modeled single-query QPS: runs `count` queries one at a time (each its

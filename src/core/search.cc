@@ -25,6 +25,9 @@ using internal_search::SearchScratch;
 constexpr size_t kSingleCtaThreads = 256;
 constexpr size_t kMultiCtaThreads = 128;
 constexpr size_t kMultiCtaLocalTopM = 32;
+/// Ceiling on the device-fill term of the auto multi-CTA width; see
+/// ResolveCtaPerQuery.
+constexpr size_t kMaxFillCtas = 16;
 
 /// Per-thread scratch reused across Search() calls. The serving
 /// scheduler's workers call Search once per micro-batch on the same
@@ -47,16 +50,23 @@ std::vector<std::unique_ptr<SearchScratch>>& ScratchCache(size_t slots) {
 size_t ResolveCtaPerQuery(const SearchParams& params, const DeviceSpec& dev,
                           size_t batch, size_t itopk) {
   if (params.cta_per_query != 0) return params.cta_per_query;
-  // Enough CTAs to cover the requested breadth (each holds a 32-entry
-  // local list) and to saturate the device at small batch sizes. An
-  // empty batch launches nothing; resolve it like batch 1 so the
-  // division below cannot fault.
+  // Two terms. Breadth: enough CTAs to cover itopk, since each holds a
+  // 32-entry local list. Fill: enough CTAs to occupy the device at small
+  // batch sizes (2 x SMs / batch), capped at kMaxFillCtas. On the host
+  // the CTAs of one query run one after another on one thread, so host
+  // work per query is linear in the width: the A100's 64-wide fill plan
+  // costs a lone query (every serving request) ~4x the host work of the
+  // 16-wide one at the same recall on the DEEP, SIFT and GloVe profiles.
+  // Paper-figure benches that model A100 fill pass that width
+  // explicitly. An empty batch launches nothing; resolve it like batch 1
+  // so the division below cannot fault.
   if (batch == 0) batch = 1;
   size_t by_breadth = (itopk + kMultiCtaLocalTopM - 1) / kMultiCtaLocalTopM;
   size_t by_fill = batch < dev.sm_count
                        ? (2 * dev.sm_count + batch - 1) / batch
                        : 1;
-  return std::clamp<size_t>(std::max(by_breadth, by_fill), 2, 64);
+  return std::clamp<size_t>(
+      std::max(by_breadth, std::min(by_fill, kMaxFillCtas)), 2, 64);
 }
 
 }  // namespace

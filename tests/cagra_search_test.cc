@@ -203,6 +203,30 @@ TEST_F(CagraSearchTest, AutoModeRespectsItopkThreshold) {
   EXPECT_EQ(ChooseAlgo(4, 64), SearchAlgo::kMultiCta);
 }
 
+TEST(AutoPlanTest, SmallBatchMultiCtaWidthIsCappedAtSixteen) {
+  // The device-fill term (2 x 108 SMs / batch) is capped at 16 CTAs: the
+  // CTAs of one query run one after another on the host, so a wider
+  // plan costs linear host work for no recall. Batches 1-13 hit the cap;
+  // at batch 64 fill asks for 4, and at itopk 1024 the breadth term
+  // (1024 / 32 local entries) still decides.
+  struct Case {
+    size_t batch, itopk, width;
+  };
+  for (const Case c : {Case{0, 64, 16}, Case{1, 64, 16}, Case{13, 64, 16},
+                       Case{64, 64, 4}, Case{10000, 1024, 32}}) {
+    SearchParams sp;
+    sp.itopk = c.itopk;
+    const SearchParams shaped = ResolveBatchShape(sp, DeviceSpec{}, c.batch);
+    EXPECT_EQ(shaped.algo, SearchAlgo::kMultiCta) << "batch " << c.batch;
+    EXPECT_EQ(shaped.cta_per_query, c.width) << "batch " << c.batch;
+  }
+  // An explicit width is honoured, above the cap too.
+  SearchParams wide;
+  wide.itopk = 64;
+  wide.cta_per_query = 64;
+  EXPECT_EQ(ResolveBatchShape(wide, DeviceSpec{}, 1).cta_per_query, 64u);
+}
+
 TEST_F(CagraSearchTest, CountersAreConsistent) {
   SearchParams params;
   params.k = 10;

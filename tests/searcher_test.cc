@@ -1,7 +1,8 @@
 // The unified Searcher front door: one shared ValidateSearchParams on
 // every path (identical bad input -> identical error), the uniform_seed
-// result-identity contract the serving scheduler builds on, and
-// host_threads reporting the width a batch can actually occupy.
+// result-identity contract the serving scheduler builds on,
+// host_threads reporting the width a batch can actually occupy, and the
+// recall of the capped multi-CTA width a lone query resolves to.
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include "core/searcher.h"
 #include "core/sharded.h"
 #include "dataset/profile.h"
+#include "dataset/recall.h"
 #include "dataset/synthetic.h"
+#include "knn/bruteforce.h"
 #include "util/thread_pool.h"
 
 namespace cagra {
@@ -168,6 +171,47 @@ TEST_F(SearcherTest, HostThreadsSerialIsOne) {
   auto r = Search(*index_, data_->queries, sp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->host_threads, 1u);
+}
+
+// --- auto multi-CTA width at batch 1 --------------------------------------
+
+TEST(AutoPlanRecallTest, CappedWidthMatchesA100FillAtBatchOne) {
+  // A lone query resolves to 16 CTAs rather than the 64 that fill an
+  // A100; on a SIFT-profile index that must cost no recall.
+  const DatasetProfile* p = FindProfile("SIFT-1M");
+  const SyntheticData data = GenerateDataset(*p, 20000, 200, 77);
+  BuildParams bp;
+  bp.graph_degree = p->cagra_degree;
+  bp.metric = p->metric;
+  auto index = CagraIndex::Build(data.base, bp);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const Matrix<uint32_t> gt =
+      ComputeGroundTruth(data.base, data.queries, 10, p->metric);
+
+  SearchParams auto_plan;
+  auto_plan.k = 10;
+  auto_plan.itopk = 64;
+  SearchParams a100_plan = auto_plan;
+  a100_plan.algo = SearchAlgo::kMultiCta;
+  a100_plan.cta_per_query = 64;
+
+  double auto_recall = 0, a100_recall = 0;
+  for (size_t q = 0; q < data.queries.rows(); q++) {
+    const Matrix<float> one = SliceQueries(data.queries, q, 1);
+    Matrix<uint32_t> gt_row(1, 10);
+    std::copy(gt.Row(q), gt.Row(q) + 10, gt_row.MutableRow(0));
+    auto capped = Search(*index, one, auto_plan);
+    auto full = Search(*index, one, a100_plan);
+    ASSERT_TRUE(capped.ok());
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(capped->launch.ctas_per_query, 16u);
+    EXPECT_EQ(full->launch.ctas_per_query, 64u);
+    auto_recall += ComputeRecall(capped->neighbors, gt_row);
+    a100_recall += ComputeRecall(full->neighbors, gt_row);
+  }
+  auto_recall /= static_cast<double>(data.queries.rows());
+  a100_recall /= static_cast<double>(data.queries.rows());
+  EXPECT_NEAR(auto_recall, a100_recall, 0.005);
 }
 
 }  // namespace
