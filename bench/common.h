@@ -72,14 +72,16 @@ inline double ModeledQpsAtBatch(const SearchResult& result,
 }
 
 /// The multi-CTA width that fills the modeled A100 at `batch` queries:
-/// enough 32-entry CTAs to cover itopk, and 2 x SMs / batch, clamped to
-/// [2, 64]. Search's auto plan caps the fill term at 16 because the host
-/// runs a query's CTAs one after another; paper-figure benches that
-/// model small batches pass this width explicitly to keep the A100 plan.
+/// enough kMultiCtaLocalTopM-entry CTAs to cover itopk, and 2 x SMs /
+/// batch, clamped to [2, 64]. Search's auto plan caps the fill term at
+/// 16 because the host runs a query's CTAs one after another;
+/// paper-figure benches that model small batches pass this width
+/// explicitly to keep the A100 plan.
 inline size_t A100FillCtaPerQuery(size_t batch, size_t itopk,
                                   const DeviceSpec& dev = DeviceSpec{}) {
   if (batch == 0) batch = 1;
-  const size_t by_breadth = (itopk + 31) / 32;
+  const size_t by_breadth =
+      (itopk + kMultiCtaLocalTopM - 1) / kMultiCtaLocalTopM;
   const size_t by_fill =
       batch < dev.sm_count ? (2 * dev.sm_count + batch - 1) / batch : 1;
   return std::clamp<size_t>(std::max(by_breadth, by_fill), 2, 64);

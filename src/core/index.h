@@ -102,12 +102,12 @@ class CagraIndex {
   /// repair). Rows insert sequentially, so vectors within one batch
   /// link to each other; the whole batch publishes as one snapshot.
   ///
-  /// Assigned external ids (monotone, never reused) are appended to
-  /// `external_ids` when non-null. Returns kFailedPrecondition on an
-  /// out-of-core index (the mapped fp32 tier cannot grow in place) or
-  /// an empty one, kInvalidArgument on a dim mismatch, and
-  /// kCapacityExceeded past the 2^31-1 row limit. On error nothing is
-  /// published.
+  /// When non-null, `external_ids` receives exactly the external ids
+  /// this call assigned (monotone, never reused). Returns
+  /// kFailedPrecondition on an out-of-core index (the mapped fp32 tier
+  /// cannot grow in place) or an empty one, kInvalidArgument on a dim
+  /// mismatch, and kCapacityExceeded past the 2^31-1 row limit. On
+  /// error nothing is published.
   [[nodiscard]] Status Add(const Matrix<float>& rows,
                            std::vector<uint32_t>* external_ids = nullptr);
 

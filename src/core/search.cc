@@ -24,7 +24,6 @@ using internal_search::SearchScratch;
 /// fit per query).
 constexpr size_t kSingleCtaThreads = 256;
 constexpr size_t kMultiCtaThreads = 128;
-constexpr size_t kMultiCtaLocalTopM = 32;
 /// Ceiling on the device-fill term of the auto multi-CTA width; see
 /// ResolveCtaPerQuery.
 constexpr size_t kMaxFillCtas = 16;
@@ -51,15 +50,16 @@ size_t ResolveCtaPerQuery(const SearchParams& params, const DeviceSpec& dev,
                           size_t batch, size_t itopk) {
   if (params.cta_per_query != 0) return params.cta_per_query;
   // Two terms. Breadth: enough CTAs to cover itopk, since each holds a
-  // 32-entry local list. Fill: enough CTAs to occupy the device at small
-  // batch sizes (2 x SMs / batch), capped at kMaxFillCtas. On the host
-  // the CTAs of one query run one after another on one thread, so host
-  // work per query is linear in the width: the A100's 64-wide fill plan
-  // costs a lone query (every serving request) ~4x the host work of the
-  // 16-wide one at the same recall on the DEEP, SIFT and GloVe profiles.
-  // Paper-figure benches that model A100 fill pass that width
-  // explicitly. An empty batch launches nothing; resolve it like batch 1
-  // so the division below cannot fault.
+  // kMultiCtaLocalTopM-entry local list. Fill: enough CTAs to occupy
+  // the device at small batch sizes (2 x SMs / batch), capped at
+  // kMaxFillCtas. On the host the CTAs of one query run one after
+  // another on one thread, so host work per query is linear in the
+  // width: the A100's 64-wide fill plan costs a lone query (every
+  // serving request) ~4x the host work of the 16-wide one at the same
+  // recall on the DEEP, SIFT and GloVe profiles. Paper-figure benches
+  // that model A100 fill pass that width explicitly. An empty batch
+  // launches nothing; resolve it like batch 1 so the division below
+  // cannot fault.
   if (batch == 0) batch = 1;
   size_t by_breadth = (itopk + kMultiCtaLocalTopM - 1) / kMultiCtaLocalTopM;
   size_t by_fill = batch < dev.sm_count
@@ -185,8 +185,8 @@ Result<SearchResult> Search(const CagraIndex& index,
   if (params.rerank != 0) {
     rerank_n = std::min(std::max(params.rerank, out_k), cfg.itopk);
     if (algo == SearchAlgo::kMultiCta) {
-      // The merged multi-CTA list holds at most ctas x 32 entries;
-      // asking past that only pads.
+      // The merged multi-CTA list holds at most
+      // ctas x kMultiCtaLocalTopM entries; asking past that only pads.
       rerank_n = std::min(rerank_n, cfg.cta_per_query * kMultiCtaLocalTopM);
     }
     rerank_n = std::max(rerank_n, out_k);

@@ -13,6 +13,11 @@
 
 namespace cagra {
 
+/// Per-CTA internal list length in multi-CTA mode: each CTA maintains a
+/// small local top-M with p = 1 (§IV-C2), so covering an itopk-entry
+/// list takes ceil(itopk / kMultiCtaLocalTopM) CTAs.
+constexpr size_t kMultiCtaLocalTopM = 32;
+
 /// Output of a batched CAGRA search: results plus the hardware counters
 /// and the modeled GPU execution time (see README "Measured vs modeled
 /// time" — results and recall are real; only the time axis comes from

@@ -1,5 +1,6 @@
 #include <limits>
 
+#include "core/search.h"
 #include "core/search_internal.h"
 #include "util/rng.h"
 #include "util/visited_set.h"
@@ -10,9 +11,6 @@ namespace internal_search {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-/// Per-CTA internal list length in multi-CTA mode: each CTA maintains a
-/// small local top-M with p = 1 (§IV-C2).
-constexpr size_t kLocalTopM = 32;
 
 }  // namespace
 
@@ -55,7 +53,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
   for (size_t c = 0; c < num_ctas; c++) {
     SearchScratch::CtaState& cta = ctas[c];
     cta.active = true;
-    cta.topm.assign(kLocalTopM, KeyValue{kInf, kInvalidEntry});
+    cta.topm.assign(kMultiCtaLocalTopM, KeyValue{kInf, kInvalidEntry});
     cta.candidates.assign(d, KeyValue{kInf, kInvalidEntry});
     Pcg32 rng(query_seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)), 0xbeef + c);
     batch_ids.clear();
@@ -126,7 +124,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
   // --- Result merge: gather all CTA-local lists, sort, dedupe, top-k.
   std::vector<KeyValue>& merged = scratch->merged;
   merged.clear();
-  merged.reserve(num_ctas * kLocalTopM);
+  merged.reserve(num_ctas * kMultiCtaLocalTopM);
   for (const SearchScratch::CtaState& cta : ctas) {
     for (const auto& entry : cta.topm) {
       if (entry.value == kInvalidEntry || entry.key == kInf) continue;

@@ -162,13 +162,9 @@ void MergeShardTopK(const ShardMergeList* lists, size_t num_lists, size_t k,
   for (size_t l = 0; l < num_lists; l++) {
     const ShardMergeList& list = lists[l];
     for (size_t i = 0; i < list.len; i++) {
-      uint32_t id = list.ids[i];
-      if (list.id_map != nullptr) {
-        if (id >= list.id_map_size) continue;  // padding
-        id = list.id_map[id];
-      } else if (id == kInvalidShardEntry) {
-        continue;
-      }
+      if (list.ids[i] == kInvalidShardEntry) continue;  // padding
+      const auto id =
+          static_cast<uint32_t>(list.ids[i] * list.num_shards + list.shard);
       const float d = list.distances[i];
       // Lists are sorted ascending by distance, so once the heap is full
       // and this entry is strictly worse than the retained worst, the
@@ -200,37 +196,26 @@ Result<ShardedCagraIndex> ShardedCagraIndex::Build(
   Timer total;
   ShardedCagraIndex index;
   index.shards_.resize(num_shards);
-  index.global_ids_.resize(num_shards);
+  index.next_id_ = dataset.rows();
   ShardedBuildStats local;
   local.per_shard.resize(num_shards);
 
-  // Round-robin split (the paper notes real shard assignment involves
+  // Round-robin split: row i goes to shard i % num_shards as local row
+  // i / num_shards (the paper notes real shard assignment involves
   // shuffling/splitting the indices; round-robin on a shuffled-identity
-  // synthetic set is equivalent in distribution).
-  {
-    std::vector<std::vector<uint32_t>> split(num_shards);
-    for (size_t i = 0; i < dataset.rows(); i++) {
-      split[i % num_shards].push_back(static_cast<uint32_t>(i));
-    }
-    for (size_t s = 0; s < num_shards; s++) {
-      index.global_ids_[s] =
-          std::make_shared<const std::vector<uint32_t>>(std::move(split[s]));
-    }
-  }
-
-  // Shard builds run in parallel, mirroring the one-GPU-per-shard build.
-  // Each build is seeded and touches only its own slot, so the graphs
-  // and deterministic stats are identical to a sequential build (pinned
-  // by tests/sharded_test.cc); nested build parallelism composes via the
+  // synthetic set is equivalent in distribution). Shard builds run in
+  // parallel, mirroring the one-GPU-per-shard build. Each build is
+  // seeded and touches only its own slot, so the graphs and
+  // deterministic stats are identical to a sequential build (pinned by
+  // tests/sharded_test.cc); nested build parallelism composes via the
   // re-entrant pool.
   std::vector<Status> shard_status(num_shards);
   GlobalThreadPool().ParallelFor(0, num_shards, [&](size_t s) {
-    const auto& ids = *index.global_ids_[s];
-    Matrix<float> shard_data(ids.size(), dataset.dim());
-    for (size_t local_row = 0; local_row < ids.size(); local_row++) {
-      std::copy(dataset.Row(ids[local_row]),
-                dataset.Row(ids[local_row]) + dataset.dim(),
-                shard_data.MutableRow(local_row));
+    Matrix<float> shard_data(
+        (dataset.rows() - s + num_shards - 1) / num_shards, dataset.dim());
+    for (size_t local_row = 0; local_row < shard_data.rows(); local_row++) {
+      const float* row = dataset.Row(local_row * num_shards + s);
+      std::copy(row, row + dataset.dim(), shard_data.MutableRow(local_row));
     }
     auto shard = CagraIndex::Build(shard_data, params, &local.per_shard[s]);
     if (!shard.ok()) {
@@ -274,57 +259,53 @@ Status ShardedCagraIndex::Add(const Matrix<float>& rows,
     return Status::InvalidArgument("row dim does not match index dim");
   }
   const size_t num_shards = shards_.size();
-  // The next global id: every id ever assigned has exactly one entry in
-  // global_ids_ (removals tombstone; they never shrink the map).
-  size_t next = 0;
-  for (const auto& ids : global_ids_) next += ids->size();
+  const size_t end = next_id_ + rows.rows();  // one past the last new id
 
   // Pre-validate so the per-shard loop below cannot fail halfway: the
-  // only remaining CagraIndex::Add failure is capacity, checked here
-  // against each shard's ever-assigned row count (>= its internal rows).
-  std::vector<size_t> incoming(num_shards, 0);
-  for (size_t j = 0; j < rows.rows(); j++) incoming[(next + j) % num_shards]++;
-  for (size_t s = 0; s < num_shards; s++) {
-    if (shards_[s].out_of_core()) {
+  // only remaining CagraIndex::Add failure is capacity. Shard 0 holds
+  // the most ever-assigned rows (ids below `end` that are 0 mod
+  // num_shards), which bound each shard's internal rows; every new id
+  // must also stay below the merge's padding sentinel.
+  for (const CagraIndex& shard : shards_) {
+    // Pinned: background compaction publishes without this writer.
+    if (shard.snapshot()->out_of_core()) {
       return Status::FailedPrecondition(
           "Add on an out-of-core sharded index: the mapped fp32 tiers "
           "cannot grow in place");
     }
-    if (global_ids_[s]->size() + incoming[s] > CagraIndex::kMaxDatasetSize) {
-      return Status::CapacityExceeded("shard would exceed 2^31 - 1 rows");
-    }
+  }
+  if ((end + num_shards - 1) / num_shards > CagraIndex::kMaxDatasetSize) {
+    return Status::CapacityExceeded("shard would exceed 2^31 - 1 rows");
+  }
+  if (end > kInvalidShardEntry) {
+    return Status::CapacityExceeded(
+        "global ids would reach the 0xffffffff padding sentinel");
   }
 
   // Route each row to its shard, preserving input order within a shard:
   // shard s receives its global ids in increasing order, which keeps
-  // shard-local external ids equal to global / num_shards. The shard
-  // mutates first, then the grown id map publishes (atomic_store), so a
-  // concurrent search that pinned the old map merely treats the new
-  // rows as padding until its next call.
+  // shard-local external ids equal to global / num_shards.
   for (size_t s = 0; s < num_shards; s++) {
-    if (incoming[s] == 0) continue;
-    Matrix<float> shard_rows(incoming[s], rows.dim());
-    size_t w = 0;
-    for (size_t j = 0; j < rows.rows(); j++) {
-      if ((next + j) % num_shards != s) continue;
-      std::copy(rows.Row(j), rows.Row(j) + rows.dim(),
-                shard_rows.MutableRow(w++));
+    // Row j lands on shard (next_id_ + j) % num_shards; `first` is the
+    // first row that does.
+    const size_t first =
+        (s + num_shards - next_id_ % num_shards) % num_shards;
+    if (first >= rows.rows()) continue;
+    Matrix<float> shard_rows(
+        (rows.rows() - first + num_shards - 1) / num_shards, rows.dim());
+    for (size_t w = 0; w < shard_rows.rows(); w++) {
+      const float* row = rows.Row(first + w * num_shards);
+      std::copy(row, row + rows.dim(), shard_rows.MutableRow(w));
     }
     CAGRA_RETURN_IF_ERROR(shards_[s].Add(shard_rows));
-    auto grown = std::make_shared<std::vector<uint32_t>>(*global_ids_[s]);
-    for (size_t j = 0; j < rows.rows(); j++) {
-      if ((next + j) % num_shards != s) continue;
-      grown->push_back(static_cast<uint32_t>(next + j));
-    }
-    std::atomic_store_explicit(&global_ids_[s],
-                               IdMapPtr(std::move(grown)),
-                               std::memory_order_release);
   }
   if (global_ids != nullptr) {
-    for (size_t j = 0; j < rows.rows(); j++) {
-      global_ids->push_back(static_cast<uint32_t>(next + j));
+    global_ids->clear();
+    for (size_t g = next_id_; g < end; g++) {
+      global_ids->push_back(static_cast<uint32_t>(g));
     }
   }
+  next_id_ = end;
   return Status::Ok();
 }
 
@@ -374,47 +355,30 @@ void ShardedCagraIndex::WaitForCompaction() const {
   for (const auto& shard : shards_) shard.WaitForCompaction();
 }
 
+// Both read pinned snapshots, as dim() does: callers may count while a
+// background compaction publishes a shard's next version.
 size_t ShardedCagraIndex::live_size() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard.live_size();
+  for (const auto& shard : shards_) total += shard.snapshot()->live_rows();
   return total;
 }
 
 size_t ShardedCagraIndex::tombstone_count() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard.tombstone_count();
+  for (const auto& shard : shards_) total += shard.snapshot()->num_dead;
   return total;
-}
-
-Status ShardedCagraIndex::ValidateSearch(const SearchParams& params) const {
-  if (shards_.empty()) return Status::InvalidArgument("no shards built");
-  // Shared with the single-index front door so identical bad inputs
-  // fail identically on either path (pinned by tests/searcher_test.cc).
-  return ValidateSearchParams(params);
-}
-
-std::vector<ShardedCagraIndex::IdMapPtr> ShardedCagraIndex::PinIdMaps()
-    const {
-  std::vector<IdMapPtr> maps(global_ids_.size());
-  for (size_t s = 0; s < global_ids_.size(); s++) {
-    maps[s] = std::atomic_load_explicit(&global_ids_[s],
-                                        std::memory_order_acquire);
-  }
-  return maps;
 }
 
 void ShardedCagraIndex::MergeRows(
     const std::vector<std::pair<size_t, const SearchResult*>>& shard_results,
-    const std::vector<IdMapPtr>& maps, size_t batch, size_t k,
-    NeighborList* out) const {
+    size_t batch, size_t k, NeighborList* out) const {
   const size_t num_lists = shard_results.size();
   std::vector<ShardMergeList> lists(num_lists);
   for (size_t q = 0; q < batch; q++) {
     for (size_t l = 0; l < num_lists; l++) {
-      const size_t s = shard_results[l].first;
       const NeighborList& n = shard_results[l].second->neighbors;
       lists[l] = {n.distances.data() + q * k, n.ids.data() + q * k, k,
-                  maps[s]->data(), maps[s]->size()};
+                  shard_results[l].first, shards_.size()};
     }
     MergeShardTopK(lists.data(), num_lists, k, out->ids.data() + q * k,
                    out->distances.data() + q * k);
@@ -423,27 +387,20 @@ void ShardedCagraIndex::MergeRows(
 
 Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
                                                const SearchParams& params) const {
-  return Search(queries, params, DeviceSpec{});
-}
-
-Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
-                                               const SearchParams& params,
-                                               const DeviceSpec& device) const {
-  CAGRA_RETURN_IF_ERROR(ValidateSearch(params));
+  if (shards_.empty()) return Status::InvalidArgument("no shards built");
+  // Shared with the single-index front door so identical bad inputs
+  // fail identically on either path (pinned by tests/searcher_test.cc).
+  CAGRA_RETURN_IF_ERROR(ValidateSearchParams(params));
 
   const size_t k = params.k;
   const size_t batch = queries.rows();
   const size_t num_shards = shards_.size();
   const CancelToken* caller_token = params.cancel;
-  // Pin the id maps, then the shards (copied into the state): Add grows
-  // a shard before it publishes the grown map, so every pinned shard is
-  // at least as new as its map, and rows the map lacks read as padding.
-  const std::vector<IdMapPtr> maps = PinIdMaps();
   auto st = std::make_shared<SearchState>(shards_, caller_token);
+  st->device = device();
   // Batch-shape auto choices (execution mode, multi-CTA width) are
   // resolved once on the full batch and shared by every shard.
-  st->task_params = ResolveBatchShape(params, device, batch);
-  st->device = device;
+  st->task_params = ResolveBatchShape(params, st->device, batch);
   st->queries = &queries;
   const bool detachable = caller_token != nullptr && params.num_threads == 0;
   if (detachable) {
@@ -532,7 +489,7 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
     }
     finished.emplace_back(s, &r.value());
   }
-  MergeRows(finished, maps, batch, k, &out.neighbors);
+  MergeRows(finished, batch, k, &out.neighbors);
   out.host_seconds = host.Seconds();
   out.host_qps = out.host_seconds > 0
                      ? static_cast<double>(batch) / out.host_seconds

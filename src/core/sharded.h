@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/search.h"
@@ -19,8 +19,9 @@ namespace cagra {
 /// The dataset is split round-robin into `num_shards` sub-datasets; an
 /// independent CAGRA index is built per shard. A search runs on every
 /// shard (each modeled on its own device, as the paper proposes) and the
-/// per-shard top-k lists are merged. Shard-local row ids are translated
-/// back to global dataset ids.
+/// per-shard top-k lists are merged. Global id g lives on shard
+/// g % num_shards as local id g / num_shards, for built and added rows
+/// alike, so the merge translates local ids back by arithmetic alone.
 struct ShardedBuildStats {
   std::vector<BuildStats> per_shard;
   double total_seconds = 0.0;  ///< wall time of the (parallel) build
@@ -30,18 +31,17 @@ struct ShardedBuildStats {
 constexpr uint32_t kInvalidShardEntry = 0xffffffffu;
 
 /// One sorted candidate list entering the k-way shard merge: `len`
-/// (distance, id) pairs sorted ascending by (distance, id). When
-/// `id_map` is set, ids are shard-local rows translated through it on
-/// the way into the merge, and any id >= id_map_size is padding (the
-/// per-shard searches pad short results with kInvalidShardEntry, which
-/// is always out of range). Without a map, ids pass through verbatim
-/// and the kInvalidShardEntry sentinel itself marks padding.
+/// (distance, id) pairs sorted ascending by (distance, id), holding the
+/// local ids of shard `shard` of `num_shards`. The merge drops the
+/// kInvalidShardEntry padding the per-shard searches append, then
+/// translates each local id by the round-robin rule global = local *
+/// num_shards + shard (the identity at the default one shard).
 struct ShardMergeList {
   const float* distances = nullptr;
   const uint32_t* ids = nullptr;
   size_t len = 0;
-  const uint32_t* id_map = nullptr;
-  size_t id_map_size = 0;
+  size_t shard = 0;
+  size_t num_shards = 1;
 };
 
 /// Folds `num_lists` per-shard top-k lists into the global top-k of one
@@ -73,8 +73,10 @@ class ShardedCagraIndex : public Searcher {
 
   size_t num_shards() const { return shards_.size(); }
   const CagraIndex& shard(size_t i) const { return shards_[i]; }
+  /// Read from a pinned snapshot: a background compaction may publish
+  /// (and a reader free) shard 0's previous version at any time.
   size_t dim() const override {
-    return shards_.empty() ? 0 : shards_[0].dim();
+    return shards_.empty() ? 0 : shards_[0].snapshot()->dim();
   }
 
   /// Materializes the reduced-precision dataset copy on every shard so
@@ -93,9 +95,10 @@ class ShardedCagraIndex : public Searcher {
   /// Inserts `rows`, continuing the round-robin layout: row j becomes
   /// global id next_id + j and lands on shard (next_id + j) %
   /// num_shards, so ids keep the invariant global = local * num_shards
-  /// + shard that the merge's id translation relies on. Assigned global
-  /// ids (monotone, never reused) are appended to `global_ids` when
-  /// non-null. All shapes are validated before any shard mutates.
+  /// + shard that the merge's id translation relies on. When non-null,
+  /// `global_ids` receives exactly the global ids this call assigned
+  /// (monotone, never reused). Shapes and capacity are validated before
+  /// any shard mutates.
   [[nodiscard]] Status Add(const Matrix<float>& rows,
                            std::vector<uint32_t>* global_ids = nullptr);
 
@@ -122,9 +125,11 @@ class ShardedCagraIndex : public Searcher {
   /// task on the global pool, as each GPU would search its own
   /// sub-graph, and once every shard is in the calling thread merges
   /// the per-shard top-k lists into the global top-k, translating
-  /// shard-local ids back to global ids. The modeled time charges the
-  /// slowest shard plus the host merge of the whole batch. The storage
-  /// mode comes from params.precision (the Searcher front door).
+  /// shard-local ids back to global ids by the round-robin rule. Each
+  /// shard is modeled on device() (the default DeviceSpec); the modeled
+  /// time charges the slowest shard plus the host merge of the whole
+  /// batch. The storage mode comes from params.precision (the Searcher
+  /// front door).
   ///
   /// params.num_threads != 0 is a total host budget, so the shards run
   /// inline one after another and each per-shard search uses the full
@@ -141,43 +146,26 @@ class ShardedCagraIndex : public Searcher {
   /// state that owns its own copies of the shards (pinning one version
   /// per shard for the whole request), so they never reference the
   /// caller's stack or the index, which may be destroyed as soon as the
-  /// call returns.
+  /// call returns. Those copies are all a request pins: every row a
+  /// pinned shard returns translates to its global id.
   [[nodiscard]] Result<SearchResult> Search(
       const Matrix<float>& queries,
       const SearchParams& params) const override;
-  [[nodiscard]] Result<SearchResult> Search(const Matrix<float>& queries,
-                                            const SearchParams& params,
-                                            const DeviceSpec& device) const;
 
  private:
-  /// One shard's local-external-id -> global-id translation table,
-  /// immutable once published (Add publishes a grown copy).
-  using IdMapPtr = std::shared_ptr<const std::vector<uint32_t>>;
-
-  Status ValidateSearch(const SearchParams& params) const;
-
-  /// The current per-shard id maps, pinned once per search (atomic
-  /// loads) so a concurrent Add — which publishes grown copies — can
-  /// never move the arrays under a running merge. A search whose shard
-  /// snapshot is newer than its pinned map treats the not-yet-mapped
-  /// rows as padding (a transient freshness gap, not a fault).
-  std::vector<IdMapPtr> PinIdMaps() const;
-
   /// Merges the `batch` queries of the per-shard results
   /// `shard_results` — (shard index, result) pairs so a cancelled
   /// search can merge the subset of shards that finished — into `out`,
-  /// translating shard-local ids through the pinned `maps`.
+  /// translating shard-local ids to global ids.
   void MergeRows(
       const std::vector<std::pair<size_t, const SearchResult*>>& shard_results,
-      const std::vector<IdMapPtr>& maps, size_t batch, size_t k,
-      NeighborList* out) const;
+      size_t batch, size_t k, NeighborList* out) const;
 
   std::vector<CagraIndex> shards_;
-  /// global_ids_[s]->at(local) = global id of shard s's local external
-  /// id `local`. Read via atomic_load (PinIdMaps), replaced via
-  /// atomic_store by Add; removals tombstone and never shrink a map, so
-  /// every id ever assigned stays translatable.
-  std::vector<IdMapPtr> global_ids_;
+  /// The global id the next Add assigns: Build sets it to the dataset
+  /// size and a successful Add advances it. Removals never lower it, so
+  /// ids are never reused.
+  size_t next_id_ = 0;
 };
 
 }  // namespace cagra

@@ -14,8 +14,11 @@
 //  - Save on a tombstoned index writes its compacted form: loading it
 //    EXPECT_EQ-matches the in-memory index after Compact().
 //  - Concurrent writer + reader threads stay well-formed (this suite
-//    runs under TSan in CI).
+//    runs under TSan in CI); a sharded search under a concurrent writer
+//    returns only assigned rows, each at its exact distance.
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <future>
 #include <limits>
@@ -31,6 +34,7 @@
 #include "dataset/profile.h"
 #include "dataset/recall.h"
 #include "dataset/synthetic.h"
+#include "distance/distance.h"
 #include "knn/bruteforce.h"
 #include "serving/serving.h"
 
@@ -512,9 +516,14 @@ TEST(MutableIndexTest, ShardedAddRemove) {
   ShardedCagraIndex index = std::move(built.value());
 
   std::vector<uint32_t> ids;
-  ASSERT_TRUE(index.Add(extra, &ids).ok());
-  ASSERT_EQ(ids.size(), 40u);
+  ASSERT_TRUE(index.Add(SliceQueries(extra, 0, 25), &ids).ok());
+  ASSERT_EQ(ids.size(), 25u);
   for (size_t i = 0; i < ids.size(); i++) EXPECT_EQ(ids[i], 300u + i);
+  // A vector that already holds ids (here the previous call's) receives
+  // exactly the ids this call assigned, as with CagraIndex::Add.
+  ASSERT_TRUE(index.Add(SliceQueries(extra, 25, 15), &ids).ok());
+  ASSERT_EQ(ids.size(), 15u);
+  for (size_t i = 0; i < ids.size(); i++) EXPECT_EQ(ids[i], 325u + i);
   EXPECT_EQ(index.live_size(), 340u);
 
   // Inserted rows come back with their *global* ids.
@@ -547,6 +556,112 @@ TEST(MutableIndexTest, ShardedAddRemove) {
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(Contains(r2->neighbors, 0, 301u));
   index.WaitForCompaction();
+}
+
+// A writer adds and removes rows on a 3-shard index while two readers
+// search it (one on the pool, one inline); runs under TSan and in the
+// fault-injection build in CI. Every response must be well-formed
+// (sorted, padding only at the tail, no duplicate ids), and every id
+// must name a row an Add had assigned before the search returned, at
+// that row's exact L2 distance to the query: a shard-local id that
+// translated to the wrong global id would return a wrong row.
+TEST(MutableIndexTest, ShardedWriterDuringSearch) {
+  constexpr size_t kBase = 300;
+  constexpr size_t kAdds = 120;
+  auto data = DeepData(kBase + kAdds, 4);
+  // Global id g is row g of data.base: the build assigns 0..kBase-1 and
+  // the writer's Adds continue in order.
+  const Matrix<float> base = SliceQueries(data.base, 0, kBase);
+  BuildParams bp;
+  bp.graph_degree = 8;
+  auto built = ShardedCagraIndex::Build(base, bp, 3);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ShardedCagraIndex index = std::move(built.value());
+  CompactionOptions opt;
+  opt.trigger_fraction = 0.05;
+  opt.min_dead_rows = 4;
+  index.SetCompactionOptions(opt);
+
+  // One past the largest id an Add has started to assign, raised before
+  // the Add runs: a row can only be returned once its shard published
+  // it, which is ordered after this store.
+  std::atomic<uint32_t> assigned_end{kBase};
+  std::atomic<int> readers_started{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> searches{0};
+
+  std::thread writer([&] {
+    // Start writing only once both readers are searching.
+    while (readers_started.load() < 2) std::this_thread::yield();
+    uint32_t next_dead = 1;
+    for (size_t i = 0; i < kAdds; i++) {
+      assigned_end.store(static_cast<uint32_t>(kBase + i + 1));
+      std::vector<uint32_t> ids;
+      if (!index.Add(SliceQueries(data.base, kBase + i, 1), &ids).ok() ||
+          ids != std::vector<uint32_t>{static_cast<uint32_t>(kBase + i)}) {
+        failures++;
+      }
+      if (!index.Remove(std::vector<uint32_t>{next_dead}).ok()) failures++;
+      next_dead += 2;
+    }
+    done.store(true);
+  });
+
+  auto reader = [&](size_t num_threads) {
+    SearchParams sp = Params(10);
+    sp.num_threads = num_threads;
+    readers_started++;
+    while (!done.load()) {
+      auto r = index.Search(data.queries, sp);
+      const uint32_t end = assigned_end.load();
+      searches++;
+      if (!r.ok()) {
+        failures++;
+        continue;
+      }
+      const NeighborList& n = r->neighbors;
+      for (size_t q = 0; q < n.num_queries(); q++) {
+        bool padded = false;
+        std::vector<uint32_t> seen;
+        for (size_t i = 0; i < n.k; i++) {
+          const size_t at = q * n.k + i;
+          const uint32_t id = n.ids[at];
+          if (id == kInvalid) {
+            padded = true;
+            continue;
+          }
+          if (padded) failures++;  // valid entry after padding
+          if (std::find(seen.begin(), seen.end(), id) != seen.end()) {
+            failures++;  // duplicate id
+          }
+          seen.push_back(id);
+          if (i > 0 && n.distances[at] < n.distances[at - 1]) failures++;
+          if (id >= end) {
+            failures++;  // never assigned
+            continue;
+          }
+          // The search's kernels may sum in another order than
+          // L2Squared, so allow float rounding.
+          const float exact = L2Squared(data.queries.Row(q),
+                                        data.base.Row(id), data.base.dim());
+          if (std::abs(n.distances[at] - exact) >
+              1e-4f * std::max(1.0f, exact)) {
+            failures++;  // a wrong row under this id
+          }
+        }
+      }
+    }
+  };
+  std::thread pool_reader(reader, 0);
+  std::thread inline_reader(reader, 1);
+  writer.join();
+  pool_reader.join();
+  inline_reader.join();
+  index.WaitForCompaction();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(searches.load(), 2);
+  EXPECT_EQ(index.live_size(), kBase);  // kAdds added, kAdds removed
 }
 
 }  // namespace

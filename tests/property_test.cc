@@ -234,8 +234,8 @@ TEST(ShardMergePropertyTest, MatchesSortReference) {
 
     std::vector<ShardMergeList> views(num_lists);
     for (size_t l = 0; l < num_lists; l++) {
-      views[l] = {lists.distances[l].data(), lists.ids[l].data(), len,
-                  nullptr, 0};
+      // Shard 0 of 1: the round-robin translation is the identity.
+      views[l] = {lists.distances[l].data(), lists.ids[l].data(), len, 0, 1};
     }
     std::vector<uint32_t> got_ids(k);
     std::vector<float> got_dist(k);
@@ -259,47 +259,55 @@ TEST(ShardMergePropertyTest, MatchesSortReference) {
   }
 }
 
-TEST(ShardMergePropertyTest, IdMapTranslatesAndFiltersPadding) {
-  // The id_map form used by the sharded search: lists carry shard-local
-  // rows, padding is any id past the map, and the merge output must be
-  // in translated global ids.
+TEST(ShardMergePropertyTest, RoundRobinTranslatesAndFiltersPadding) {
+  // The form the sharded search uses: each list carries shard-local ids
+  // of shard s of num_shards, padding is the kInvalidShardEntry
+  // sentinel (dropped before translation, since the sentinel times the
+  // shard count would wrap to a plausible id), and the merge output is
+  // in global ids local * num_shards + s. Each trial merges a random
+  // subset of the shards in random order — possibly none — as a
+  // cancelled search merges only the shards that finished.
   Pcg32 rng(0xfeed);
-  for (int trial = 0; trial < 100; trial++) {
-    const size_t num_lists = 1 + rng.NextBounded(4);
+  for (int trial = 0; trial < 200; trial++) {
+    const size_t num_shards = 1 + rng.NextBounded(5);
     const size_t k = 1 + rng.NextBounded(12);
+    std::vector<size_t> shards;
+    for (size_t s = 0; s < num_shards; s++) {
+      if (rng.NextBounded(4) != 0) shards.push_back(s);
+    }
+    for (size_t i = shards.size(); i > 1; i--) {
+      std::swap(shards[i - 1],
+                shards[rng.NextBounded(static_cast<uint32_t>(i))]);
+    }
+    const size_t num_lists = shards.size();
     std::vector<std::vector<float>> dists(num_lists);
     std::vector<std::vector<uint32_t>> locals(num_lists);
-    std::vector<std::vector<uint32_t>> maps(num_lists);
     std::vector<std::pair<float, uint32_t>> ref;
     std::vector<ShardMergeList> views(num_lists);
     for (size_t l = 0; l < num_lists; l++) {
-      const size_t map_size = 1 + rng.NextBounded(16);
-      maps[l].resize(map_size);
-      for (size_t r = 0; r < map_size; r++) {
-        // Disjoint global id ranges per list.
-        maps[l][r] = static_cast<uint32_t>(l * 1000 + r);
-      }
+      const size_t num_rows = 1 + rng.NextBounded(16);
       const size_t count = rng.NextBounded(static_cast<uint32_t>(
-          std::min(k, map_size) + 1));
+          std::min(k, num_rows) + 1));
       std::vector<std::pair<float, uint32_t>> entries;
       std::set<uint32_t> used;
       while (entries.size() < count) {
-        const uint32_t local = rng.NextBounded(static_cast<uint32_t>(map_size));
+        const uint32_t local = rng.NextBounded(static_cast<uint32_t>(num_rows));
         if (!used.insert(local).second) continue;
         entries.emplace_back(static_cast<float>(rng.NextBounded(6)) / 2.0f,
                              local);
       }
-      std::sort(entries.begin(), entries.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
+      std::sort(entries.begin(), entries.end());
       dists[l].assign(k, std::numeric_limits<float>::infinity());
-      locals[l].assign(k, kInvalidShardEntry);  // >= map_size: padding
+      locals[l].assign(k, kInvalidShardEntry);
       for (size_t i = 0; i < entries.size(); i++) {
         dists[l][i] = entries[i].first;
         locals[l][i] = entries[i].second;
-        ref.emplace_back(entries[i].first, maps[l][entries[i].second]);
+        ref.emplace_back(entries[i].first,
+                         static_cast<uint32_t>(entries[i].second * num_shards +
+                                               shards[l]));
       }
-      views[l] = {dists[l].data(), locals[l].data(), k, maps[l].data(),
-                  maps[l].size()};
+      views[l] = {dists[l].data(), locals[l].data(), k, shards[l],
+                  num_shards};
     }
     std::vector<uint32_t> got_ids(k);
     std::vector<float> got_dist(k);
@@ -311,7 +319,8 @@ TEST(ShardMergePropertyTest, IdMapTranslatesAndFiltersPadding) {
         ASSERT_EQ(got_dist[i], ref[i].first) << "trial " << trial;
         ASSERT_EQ(got_ids[i], ref[i].second) << "trial " << trial;
       } else {
-        ASSERT_EQ(got_ids[i], kInvalidShardEntry);
+        ASSERT_EQ(got_ids[i], kInvalidShardEntry) << "trial " << trial;
+        ASSERT_TRUE(std::isinf(got_dist[i])) << "trial " << trial;
       }
     }
   }

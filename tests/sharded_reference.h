@@ -1,8 +1,8 @@
 // Test oracle for ShardedCagraIndex::Search, built from the public API
 // alone: every shard is searched on its own, serially, with the free
 // cagra::Search, and the per-shard top-k lists are folded with
-// MergeShardTopK through the shard's id translation (the round-robin
-// layout keeps global = local * num_shards + shard).
+// MergeShardTopK, which translates ids by the round-robin layout
+// (global = local * num_shards + shard).
 #ifndef CAGRA_TESTS_SHARDED_REFERENCE_H_
 #define CAGRA_TESTS_SHARDED_REFERENCE_H_
 
@@ -24,16 +24,7 @@ inline Result<NeighborList> ShardedReference(const ShardedCagraIndex& index,
   const size_t batch = queries.rows();
   const size_t k = params.k;
   std::vector<SearchResult> results;
-  std::vector<std::vector<uint32_t>> maps(num_shards);
   for (size_t s = 0; s < num_shards; s++) {
-    const auto snap = index.shard(s).snapshot();
-    // External ids grow with the internal row, so the last row holds
-    // the largest id a result can carry.
-    const size_t num_ids =
-        snap->size() == 0 ? 0 : snap->ExternalId(snap->size() - 1) + 1;
-    for (size_t local = 0; local < num_ids; local++) {
-      maps[s].push_back(static_cast<uint32_t>(local * num_shards + s));
-    }
     auto r = Search(index.shard(s), queries, params);
     if (!r.ok()) return r.status();
     results.push_back(std::move(r.value()));
@@ -47,8 +38,8 @@ inline Result<NeighborList> ShardedReference(const ShardedCagraIndex& index,
   for (size_t q = 0; q < batch; q++) {
     for (size_t s = 0; s < num_shards; s++) {
       const NeighborList& n = results[s].neighbors;
-      lists[s] = {n.distances.data() + q * k, n.ids.data() + q * k, k,
-                  maps[s].data(), maps[s].size()};
+      lists[s] = {n.distances.data() + q * k, n.ids.data() + q * k, k, s,
+                  num_shards};
     }
     MergeShardTopK(lists.data(), num_shards, k, out.ids.data() + q * k,
                    out.distances.data() + q * k);
